@@ -271,7 +271,11 @@ def is_mv_ideal(alg, members):
 
 
 def ideal_generated(alg, seed):
-    """Fixpoint closure of seed under downward passage and addition."""
+    """Fixpoint closure of seed under downward passage and addition.
+
+    Slow oracle: verify's ideal-join-coincidence check holds it against
+    idealarith.oplus_bar, the route the program computes joins with.
+    """
     cur = {alg.zero} | {int(x) for x in seed}
     while True:
         nxt = set(cur)
@@ -313,6 +317,8 @@ def is_prime_mv_ideal(alg, members):
 
 
 def is_maximal_mv_ideal(alg, members):
+    """Proper MV-ideal whose every one-element extension generates the whole
+    carrier; the slow oracle for maximal_mv_ideals."""
     s = frozenset(int(x) for x in members)
     if not is_mv_ideal(alg, s) or len(s) == alg.n:
         return False
@@ -341,7 +347,22 @@ def enumerate_prime_mv_ideals(alg):
 
 
 def maximal_mv_ideals(alg):
-    return [s for s in enumerate_mv_ideals(alg) if is_maximal_mv_ideal(alg, s)]
+    """Downsets of the maximal idempotents below one, in enumeration order.
+
+    MV-ideals are downsets of idempotents ordered as their idempotents, so
+    the maximal proper ones sit under the proper idempotents (downset short
+    of the carrier, i.e. e != one) with no other proper idempotent above
+    them.  is_maximal_mv_ideal is the slow oracle.
+    """
+    proper = [e for e in alg.idempotents if not alg.leq[:, e].all()]
+    above = alg.leq[np.ix_(proper, proper)]
+    only_self = (above == np.eye(len(proper), dtype=bool)).all(axis=1)
+    out = [
+        frozenset(np.flatnonzero(alg.leq[:, e]).tolist())
+        for e, top in zip(proper, only_self)
+        if top
+    ]
+    return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
 def ideal_congruent(alg, a, b, ideal):
@@ -411,6 +432,8 @@ def algebra_from_json(data, product_cap=4096, validate=True):
             algebra_from_json(f, product_cap=product_cap, validate=validate)
             for f in factors
         ]
+        if any(not isinstance(a, MvAlgebra) for a in algs):
+            raise AlgebraError("product factors must be finite; chang is symbolic")
         out = algs[0]
         for nxt in algs[1:]:
             out = product(out, nxt, cap=product_cap)

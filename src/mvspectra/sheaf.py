@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import AlgebraError, CapExceeded
 from .lattice import SCHEMA
-from .mv import ideal_congruent, ideal_generated, is_mv_ideal, quotient
+from .idealarith import oplus_bar
+from .mv import ideal_congruent, is_mv_ideal, quotient
 from .spectrum import MvDualSpace
 
 BASE_PRIME = "prime"
@@ -301,7 +302,7 @@ def crt_solve(alg, ideals, targets):
         raise AlgebraError("the ideals do not intersect to zero")
     for l in range(len(ideals)):
         for m in range(l + 1, len(ideals)):
-            join = ideal_generated(alg, set(ideals[l]) | set(ideals[m]))
+            join = oplus_bar(alg, ideals[l], ideals[m])
             if not ideal_congruent(alg, targets[l], targets[m], join):
                 raise AlgebraError(
                     f"targets {l} and {m} are incompatible modulo the join"
@@ -317,10 +318,6 @@ def crt_solve(alg, ideals, targets):
     if len(found) != 1:
         raise AlgebraError(f"expected a unique solution, found {len(found)}")
     return found[0]
-
-
-def _class_on(alg, a, ideal, b):
-    return ideal_congruent(alg, a, b, ideal)
 
 
 def crt_term(alg, units, targets, space=None):
@@ -369,7 +366,7 @@ def crt_term(alg, units, targets, space=None):
         for i in range(len(units)):
             b = int(alg.join[b, drop(targets[i], units[i], t)])
         if all(
-            _class_on(alg, b, y_ideals[iy], targets[i])
+            ideal_congruent(alg, b, targets[i], y_ideals[iy])
             for i in range(len(units))
             for iy in patches[i]
         ):

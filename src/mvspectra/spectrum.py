@@ -8,6 +8,11 @@ through the finite-scale convention documented in lattice.py: opens of the
 downset topology are downsets, and continuity claims become set identities
 over the basic family {a-hat}.
 
+Z comes from the maximal idempotents below one (mv.maximal_mv_ideals), so
+the build runs no closure fixpoint.  mv.is_maximal_mv_ideal and
+mv.ideal_generated are the slow oracles, called only by the tests and by
+verify's ideal-join-coincidence check.
+
 Construction checks the structural laws eagerly and raises AlgebraError if
 any fails; on a valid algebra none can, so a failure always points at a
 malformed input table (validate=False constructions).
@@ -31,7 +36,7 @@ from .lattice import (
     lattice_isomorphic,
     transitive_closure,
 )
-from .mv import enumerate_mv_ideals, is_maximal_mv_ideal, is_mv_ideal
+from .mv import enumerate_mv_ideals, is_mv_ideal, maximal_mv_ideals
 
 
 class MvDualSpace:
@@ -81,10 +86,9 @@ class MvDualSpace:
         )
         self.y_set = frozenset(self.y_points)
         self._check_y_is_idempotents()
+        maximal = frozenset(maximal_mv_ideals(alg))
         self.z_points = tuple(
-            i
-            for i in self.y_points
-            if is_maximal_mv_ideal(alg, self.points[i].ideal)
+            i for i in self.y_points if self.points[i].ideal in maximal
         )
         self.z_set = frozenset(self.z_points)
         self.k = self._build_k()

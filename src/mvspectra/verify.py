@@ -21,7 +21,14 @@ from .chang import ideal_oplus_bar as chang_oplus_bar
 from .errors import CapExceeded, Error
 from .idealarith import oplus_bar, oplus_bar_oracle
 from .lattice import duality_roundtrip
-from .mv import check_axioms, enumerate_mv_ideals, ideal_generated, is_mv_ideal
+from .mv import (
+    check_axioms,
+    enumerate_mv_ideals,
+    ideal_congruent,
+    ideal_generated,
+    is_mv_ideal,
+    maximal_mv_ideals,
+)
 from .sheaf import (
     BASE_MAXIMAL,
     BASE_PRIME,
@@ -330,7 +337,7 @@ def _check_patch_roundtrip(ctx):
                 a
                 for a in range(alg.n)
                 if all(
-                    _same_class(alg, a, b, y_ideals[v]) for v in hood
+                    ideal_congruent(alg, a, b, y_ideals[v]) for v in hood
                 )
             )
             cover.append(hood)
@@ -340,17 +347,9 @@ def _check_patch_roundtrip(ctx):
             _fail(f"section round-trip failed for element {b}")
 
 
-def _same_class(alg, a, b, ideal):
-    return (
-        int(alg.ominus[a, b]) in ideal and int(alg.ominus[b, a]) in ideal
-    )
-
-
 def _check_patch_negative(ctx):
     s = ctx.space
     alg = s.algebra
-    if alg.n < 2:
-        return "skip", "no two distinct constants to clash"
     res = check_property_p(
         s, BASE_PRIME, [list(s.y_points), list(s.y_points)],
         [s.hat(alg.zero), s.hat(alg.one)],
@@ -390,23 +389,10 @@ def _check_maximal_fibers(ctx):
 # -- finite checks: remainder solving ------------------------------------------
 
 
-def _crt_families(alg):
-    """Ideal families with zero intersection, smallest first."""
-    space_ideals = [
-        i for i in enumerate_mv_ideals(alg) if len(i) < alg.n
-    ]
-    maximal = [
-        i
-        for i in space_ideals
-        if not any(i < j for j in space_ideals)
-    ]
-    return space_ideals, maximal
-
-
 def _check_crt_random(ctx):
     alg = ctx.alg
     rng = np.random.default_rng(ctx.seed)
-    _, maximal = _crt_families(alg)
+    maximal = maximal_mv_ideals(alg)
     if frozenset.intersection(*map(frozenset, maximal)) != {alg.zero}:
         _fail("maximal ideals do not intersect to zero")
     for trial in range(ctx.crt_count):
@@ -414,7 +400,7 @@ def _check_crt_random(ctx):
         targets = []
         for ideal in maximal:
             cls = [
-                a for a in range(alg.n) if _same_class(alg, a, planted, ideal)
+                a for a in range(alg.n) if ideal_congruent(alg, a, planted, ideal)
             ]
             targets.append(int(cls[int(rng.integers(len(cls)))]))
         got = crt_solve(alg, maximal, targets)
@@ -427,9 +413,7 @@ def _check_crt_negative(ctx):
     # distinct maximal ideals have improper joins, so they cannot clash;
     # adjoining the zero ideal pins the solution and forces a real conflict
     alg = ctx.alg
-    if alg.one == alg.zero:
-        return "skip", "one-element algebra"
-    _, maximal = _crt_families(alg)
+    maximal = maximal_mv_ideals(alg)
     ideals = maximal + [frozenset({alg.zero})]
     targets = [alg.zero] * len(maximal) + [alg.one]
     try:
@@ -450,7 +434,7 @@ def _check_crt_term(ctx):
         targets = []
         for ideal in ideals:
             cls = [
-                a for a in range(alg.n) if _same_class(alg, a, planted, ideal)
+                a for a in range(alg.n) if ideal_congruent(alg, a, planted, ideal)
             ]
             targets.append(int(cls[int(rng.integers(len(cls)))]))
         t, b = crt_term(alg, units, targets, space=s)

@@ -85,6 +85,15 @@ def test_spectrum_carrier_cap(capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+def test_product_with_chang_factor_is_usage_error(capsys):
+    mixed = '{"kind":"product","factors":[{"kind":"chang"},{"kind":"lukasiewicz","n":1}]}'
+    for command in ("check", "spectrum", "verify"):
+        code, text = run([command, "--input", mixed])
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("mvspectra: ") and "Traceback" not in err
+
+
 def test_verify_pass_lines():
     code, text = run(["verify", "--input", '{"kind":"lukasiewicz","n":3}'])
     assert code == 0

@@ -226,6 +226,18 @@ def test_crt_rejections():
         sh.crt_solve(alg, [KERN_FIRST], [1, 2])
 
 
+def test_crt_join_is_the_ideal_sum():
+    # the join of down(1,0,0) and down(0,1,0) is down(1,1,0), larger than
+    # their union; (0,0,0) and (0,0,1) differ modulo it
+    alg = product(product(lukasiewicz_chain(1), lukasiewicz_chain(1)), lukasiewicz_chain(1))
+    at = {label: a for a, label in enumerate(alg.labels)}
+    zero, top = at["((0,0),0)"], at["((0,0),1)"]
+    first = frozenset({zero, at["((1,0),0)"]})
+    second = frozenset({zero, at["((0,1),0)"]})
+    with pytest.raises(Error, match="incompatible modulo the join"):
+        sh.crt_solve(alg, [first, second], [zero, top])
+
+
 def test_crt_term_pinned(prod_space):
     alg = prod_space.algebra
     # units are the kernel generators; patches are disjoint singletons

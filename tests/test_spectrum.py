@@ -15,7 +15,7 @@ from mvspectra import spectrum as sp
 from mvspectra.chang import RADICAL, TRUNC, ChangAlgebra, ChangIdeal, ChangSpace
 from mvspectra.errors import Error
 from mvspectra.idealarith import oplus_bar_oracle
-from mvspectra.mv import MvAlgebra, lukasiewicz_chain, product
+from mvspectra.mv import MvAlgebra, is_maximal_mv_ideal, lukasiewicz_chain, product
 from mvspectra.verify import run_suite
 
 
@@ -115,6 +115,16 @@ def test_retraction_laws_across_family(family):
 def test_quotient_laws_across_family(family):
     for label, alg in family.items():
         all_pass(alg, "kaplansky")
+
+
+def test_z_points_match_the_maximality_oracle(family):
+    for label, alg in family.items():
+        space = sp.build_dual_space(alg)
+        assert space.z_points == tuple(
+            y
+            for y in space.y_points
+            if is_maximal_mv_ideal(alg, space.points[y].ideal)
+        ), label
 
 
 def test_plus_table_matches_fixpoint_sums(small_family):
