@@ -8,7 +8,7 @@ partial addition dual to the ideal sum, and the two distinguished subsets
 Y (prime MV points) and Z (maximal MV points).
 """
 
-from mvspectra import build_dual_space, lukasiewicz_chain, product, space_to_dot
+from mvspectra import build_dual_space, lukasiewicz_chain, product
 
 alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
 space = build_dual_space(alg)
@@ -37,4 +37,4 @@ print(f"x1 + x0 = x{int(space.plus[x, y])}")
 
 # DOT output marks Y with double circles and Z filled, ready for graphviz.
 print()
-print(space_to_dot(space))
+print(space.to_dot())

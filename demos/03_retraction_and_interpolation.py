@@ -8,14 +8,7 @@ The fibers of k slice X into chains, and k supplies interpolants between
 comparable points.
 """
 
-from mvspectra import (
-    build_dual_space,
-    fiber,
-    interpolate,
-    k_map,
-    lukasiewicz_chain,
-    product,
-)
+from mvspectra import build_dual_space, interpolate, lukasiewicz_chain, product
 from mvspectra.spectrum import k_via_filter_difference, k_via_ideal_scan
 
 space = build_dual_space(product(lukasiewicz_chain(3), lukasiewicz_chain(3)))
@@ -24,14 +17,14 @@ space = build_dual_space(product(lukasiewicz_chain(3), lukasiewicz_chain(3)))
 # build the table, a brute-force scan over all MV ideals, and a filter
 # difference computed in the ideal arithmetic.
 for x in range(len(space.points)):
-    a = k_map(space, x)
+    a = space.k_map(x)
     assert a == k_via_ideal_scan(space, x) == k_via_filter_difference(space, x)
 print("k:", {f"x{x}": f"x{int(space.k[x])}" for x in range(len(space.points))})
 
 # k fixes exactly the MV points, and each fiber is the chain of points
 # retracting onto that MV point.
 for y in space.y_points:
-    print(f"fiber over x{y}:", [f"x{v}" for v in fiber(space, y)])
+    print(f"fiber over x{y}:", [f"x{v}" for v in space.fiber(y)])
 
 # Between comparable points x <= x', the element x + k(x') interpolates:
 # it stays between them and its own retraction dominates both retractions.

@@ -22,8 +22,9 @@ l2, l3 = lukasiewicz_chain(2), lukasiewicz_chain(3)
 alg = product(l2, l3)
 space = build_dual_space(alg)
 
-# The quotient certifies its own homeomorphism: classes are order-isolated,
-# each contains exactly one maximal point, and Z is an antichain.
+# Each W class contains exactly one maximal point; verify's
+# zigzag-quotient-lawful certifies the homeomorphism: classes are
+# order-isolated and Z is an antichain.
 quot = w_quotient(space)
 print("W classes:", [sorted(c) for c in quot.classes])
 print("matched maximal points:", [f"x{z}" for z in quot.z_of_class])

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlgebraError
+from .lattice import SCHEMA
 from .mv import AxiomViolation
 
 FIN = "fin"
@@ -296,6 +297,8 @@ class ChangSpace:
 
     Points are ChangIdeal values from the three proper families; the order
     is inclusion: trunc(0) < trunc(1) < ... < radical < ... < J2 < J1.
+    It answers the point methods of spectrum.MvDualSpace; fiber, to_json
+    and to_dot list a window of chang_bound indices.
     """
 
     def __init__(self):
@@ -326,7 +329,7 @@ class ChangSpace:
             + [ChangIdeal(COFINITE, m) for m in range(bound, 0, -1)]
         )
 
-    def involution(self, p):
+    def involute(self, p):
         if p.family == TRUNC:
             return ChangIdeal(COFINITE, p.param + 1)
         if p.family == RADICAL:
@@ -334,7 +337,7 @@ class ChangSpace:
         return ChangIdeal(TRUNC, p.param - 1)
 
     def plus_defined(self, p, q):
-        return self.point_leq(q, self.involution(p))
+        return self.point_leq(q, self.involute(p))
 
     def plus(self, p, q):
         if not self.plus_defined(p, q):
@@ -344,6 +347,9 @@ class ChangSpace:
             raise AssertionError("sum of points left the space")
         return out
 
+    def partial_plus(self, p, q):
+        return self.plus(p, q) if self.plus_defined(p, q) else None
+
     def k_map(self, p):
         return self.radical if p.family == RADICAL else ChangIdeal(TRUNC, 0)
 
@@ -352,16 +358,49 @@ class ChangSpace:
             raise AlgebraError("m is only defined on prime-MV points")
         return self.radical
 
-    def fiber(self, y, bound):
+    def fiber(self, y, chang_bound=32):
         """Window of k^{-1}(up y): all points for the zero ideal, just the
         radical for the radical."""
         if y == self.radical:
             return [self.radical]
         if y == ChangIdeal(TRUNC, 0):
-            return self.points_bounded(bound)
+            return self.points_bounded(chang_bound)
         raise AlgebraError("fibers are indexed by prime-MV points")
 
     def germinal_ideal(self, z):
         if z != self.radical:
             raise AlgebraError("the radical is the only maximal point")
         return ChangIdeal(TRUNC, 0)
+
+    def to_json(self, chang_bound=32):
+        pts = self.points_bounded(chang_bound)
+        return {
+            "schema": SCHEMA,
+            "kind": "dual-space-symbolic",
+            "bound": chang_bound,
+            "points_window": [p.label() for p in pts],
+            "Y": [y.label() for y in self.y_points],
+            "Z": [z.label() for z in self.z_points],
+            "involution": {p.label(): self.involute(p).label() for p in pts},
+            "k": {p.label(): self.k_map(p).label() for p in pts},
+            "m": {y.label(): self.m_map(y).label() for y in self.y_points},
+        }
+
+    def to_dot(self, plus_edges=False, chang_bound=8):
+        """The window as a chain; dotted edges mark the gaps between families."""
+        pts = self.points_bounded(chang_bound)
+        lines = ["digraph space {", "  rankdir=BT;", "  node [shape=circle];"]
+        for i, p in enumerate(pts):
+            attrs = [f'label="{p.label()}"']
+            if p in self.y_points:
+                attrs.append("peripheries=2")
+            if p in self.z_points:
+                attrs.append("style=filled fillcolor=gray80")
+            lines.append(f"  n{i} [{' '.join(attrs)}];")
+        for i in range(len(pts) - 1):
+            style = ""
+            if pts[i].family != pts[i + 1].family:
+                style = ' [style=dotted label="..."]'
+            lines.append(f"  n{i} -> n{i + 1}{style};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .chang import ChangAlgebra
 from .errors import CapExceeded, Error
 from .lattice import SCHEMA
 from .mv import algebra_from_json, check_axioms
-from .spectrum import build_dual_space, space_to_dot, space_to_json
+from .spectrum import build_dual_space
 from .verify import SUITE_NAMES, run_suite
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
@@ -50,21 +49,6 @@ def _load_algebra(raw, validate=True):
         return algebra_from_json(data, validate=validate)
     except Error as exc:
         raise UsageError(str(exc)) from None
-
-
-def _threads_from_env():
-    """MV_SPECTRA_THREADS caps parallelism; execution here is sequential,
-    which respects any cap, but the value is still validated."""
-    raw = os.environ.get("MV_SPECTRA_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise UsageError(f"MV_SPECTRA_THREADS must be an integer, got {raw!r}") from None
-    if val < 1:
-        raise UsageError("MV_SPECTRA_THREADS must be at least 1")
-    return val
 
 
 def _emit(data, fmt, out):
@@ -114,9 +98,9 @@ def cmd_spectrum(args, out):
     _carrier_guard(alg, args.cap)
     space = build_dual_space(alg)
     if args.format == "dot":
-        out.write(space_to_dot(space, chang_bound=min(args.chang_bound, 8)))
+        out.write(space.to_dot(chang_bound=min(args.chang_bound, 8)))
         return OK
-    data = space_to_json(space, chang_bound=args.chang_bound)
+    data = space.to_json(chang_bound=args.chang_bound)
     if args.format == "json":
         _emit(data, "json", out)
         return OK
@@ -205,7 +189,6 @@ def main(argv=None, out=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_from_env()
         return args.fn(args, out)
     except UsageError as exc:
         print(f"mvspectra: {exc}", file=sys.stderr)

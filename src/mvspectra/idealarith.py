@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AlgebraError
+from .lattice import is_lattice_filter, is_lattice_ideal
 
 
 def _as_indices(alg, members, what):
@@ -19,30 +20,6 @@ def _as_indices(alg, members, what):
     if any(not 0 <= x < alg.n for x in s):
         raise AlgebraError(f"{what} contains out-of-range elements")
     return s
-
-
-def is_lattice_ideal(alg, members):
-    s = frozenset(int(x) for x in members)
-    if not s:
-        return False
-    for a in s:
-        if not set(np.flatnonzero(alg.leq[:, a]).tolist()) <= s:
-            return False
-        if any(int(alg.join[a, b]) not in s for b in s):
-            return False
-    return True
-
-
-def is_lattice_filter(alg, members):
-    s = frozenset(int(x) for x in members)
-    if not s:
-        return False
-    for a in s:
-        if not set(np.flatnonzero(alg.leq[a, :]).tolist()) <= s:
-            return False
-        if any(int(alg.meet[a, b]) not in s for b in s):
-            return False
-    return True
 
 
 def oplus_bar(alg, i, j):

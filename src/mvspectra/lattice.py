@@ -87,19 +87,9 @@ class FinitePoset:
         lt = self.leq & ~np.eye(self.n, dtype=bool)
         return lt & ~_bool_mm(lt, lt)
 
-    def below(self, i):
-        return frozenset(np.flatnonzero(self.leq[:, i]).tolist())
-
-    def above(self, i):
-        return frozenset(np.flatnonzero(self.leq[i, :]).tolist())
-
     def is_downset(self, members):
         s = set(members)
         return all(j in s for i in s for j in np.flatnonzero(self.leq[:, i]).tolist())
-
-    def is_upset(self, members):
-        s = set(members)
-        return all(j in s for i in s for j in np.flatnonzero(self.leq[i, :]).tolist())
 
     def downsets(self, limit=None):
         """All downsets as int bitmasks, in a deterministic generation order.
@@ -278,40 +268,8 @@ class FiniteDistLattice:
         counts = covers.sum(axis=0)
         return [int(j) for j in np.flatnonzero(counts == 1)]
 
-    @cached_property
-    def meet_irreducibles(self):
-        covers = FinitePoset(self.leq, validate=False).covers
-        counts = covers.sum(axis=1)
-        return [int(j) for j in np.flatnonzero(counts == 1)]
-
     def poset(self):
         return FinitePoset(self.leq, validate=False)
-
-    def principal_ideal(self, a):
-        return frozenset(np.flatnonzero(self.leq[:, a]).tolist())
-
-    def principal_filter(self, a):
-        return frozenset(np.flatnonzero(self.leq[a, :]).tolist())
-
-    def is_ideal(self, members):
-        """Nonempty downset closed under join."""
-        s = frozenset(members)
-        if not s or not self.poset().is_downset(s):
-            return False
-        return all(int(self.join[a, b]) in s for a in s for b in s)
-
-    def is_filter(self, members):
-        s = frozenset(members)
-        if not s or not self.poset().is_upset(s):
-            return False
-        return all(int(self.meet[a, b]) in s for a in s for b in s)
-
-    def ideals(self):
-        """Every ideal of a finite lattice is principal, so: one per element."""
-        return [self.principal_ideal(a) for a in range(self.n)]
-
-    def filters(self):
-        return [self.principal_filter(a) for a in range(self.n)]
 
     def to_dot(self):
         return self.poset().to_dot(labels=[_label_str(x) for x in self.labels])
@@ -358,9 +316,34 @@ def _point_key(point):
     return tuple(sorted(point.ideal))
 
 
+def _closed_set(order, op, members):
+    """members is nonempty, order[a, b] never leads from outside to inside,
+    and op keeps every pair of members inside: the one test behind lattice
+    ideals and filters here and MV-ideals in mv.py."""
+    inside = np.zeros(order.shape[0], dtype=bool)
+    inside[list(members)] = True
+    idx = np.flatnonzero(inside)
+    return bool(
+        idx.size
+        and not order[np.ix_(~inside, inside)].any()
+        and inside[op[np.ix_(idx, idx)]].all()
+    )
+
+
+def is_lattice_ideal(lat, members):
+    """Nonempty downset closed under pairwise joins; lat is anything with
+    leq and join tables (a lattice or an MV-algebra)."""
+    return _closed_set(lat.leq, lat.join, members)
+
+
+def is_lattice_filter(lat, members):
+    """Nonempty upset closed under pairwise meets."""
+    return _closed_set(lat.leq.T, lat.meet, members)
+
+
 def is_prime_ideal(lat, members):
     s = frozenset(members)
-    if not lat.is_ideal(s) or len(s) == lat.n:
+    if not is_lattice_ideal(lat, s) or len(s) == lat.n:
         return False
     return all(
         a in s or b in s

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlgebraError, CapExceeded
-from .lattice import SCHEMA, FiniteDistLattice
+from .lattice import SCHEMA, FiniteDistLattice, _closed_set
 
 _LAW_ORDER = (
     "involution",
@@ -122,9 +122,6 @@ class MvAlgebra:
     @cached_property
     def idempotents(self):
         return [int(e) for e in np.flatnonzero(self.oplus.diagonal() == np.arange(self.n))]
-
-    def label_of(self, a):
-        return self.labels[a]
 
 
 def check_axioms(alg):
@@ -260,14 +257,7 @@ def from_tables(neg, oplus, zero=0, labels=None, validate=True):
 def is_mv_ideal(alg, members):
     """Downset containing zero, closed under truncated addition."""
     s = frozenset(int(x) for x in members)
-    if alg.zero not in s:
-        return False
-    for a in s:
-        if not set(np.flatnonzero(alg.leq[:, a]).tolist()) <= s:
-            return False
-        if any(int(alg.oplus[a, b]) not in s for b in s):
-            return False
-    return True
+    return alg.zero in s and _closed_set(alg.leq, alg.oplus, s)
 
 
 def ideal_generated(alg, seed):
@@ -411,7 +401,8 @@ def algebra_from_json(data, product_cap=4096, validate=True):
     """Builds from {"kind": "lukasiewicz" | "product" | "tables" | "chang"}.
 
     validate only affects explicit tables; the named constructions are
-    correct by construction.
+    correct by construction.  product_cap bounds the carrier of every chain
+    and product, checked before its tables are allocated.
     """
     if not isinstance(data, dict):
         raise AlgebraError("algebra JSON must be an object")
@@ -423,6 +414,8 @@ def algebra_from_json(data, product_cap=4096, validate=True):
             n = int(data["n"])
         except (KeyError, TypeError, ValueError):
             raise AlgebraError('lukasiewicz needs an integer "n"') from None
+        if n + 1 > product_cap:
+            raise CapExceeded(f"chain carrier {n + 1} exceeds cap {product_cap}")
         return lukasiewicz_chain(n)
     if kind == "product":
         factors = data.get("factors")

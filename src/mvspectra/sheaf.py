@@ -62,31 +62,18 @@ class EtaleInstance:
 def germinal_ideal(space, z):
     """Intersection of the prime MV ideals below a maximal point.
 
-    The subspace it carves out, {x : germ inside I_k(x)}, is exactly the
-    m.k fiber of z; that identity is asserted here.
+    The subspace it carves out, {x : germ inside I_k(x)}, is the m.k fiber
+    of z; verify's germinal-ideals-carve-fibers checks that identity.
     """
     if z not in space.z_set:
         raise AlgebraError("germinal ideals are indexed by maximal points")
     leq = space.order.leq
     below = [y for y in space.y_points if leq[y, z]]
-    germ = frozenset.intersection(*(space.points[y].ideal for y in below))
-    if not is_mv_ideal(space.algebra, germ):
-        raise AlgebraError("germinal intersection is not an MV ideal")
-    carved = frozenset(
-        x
-        for x in range(len(space.points))
-        if germ <= space.points[int(space.k[x])].ideal
-    )
-    fiber = frozenset(
-        x for x in range(len(space.points)) if space.mk[x] == z
-    )
-    if carved != fiber:
-        raise AlgebraError("germinal subspace differs from the m.k fiber")
-    return germ
+    return frozenset.intersection(*(space.points[y].ideal for y in below))
 
 
 def build_etale(space, base):
-    """The bundle over Y via k, or over Z via m.k, with checked stalks."""
+    """The bundle over Y via k, or over Z via m.k, with tabulated stalks."""
     if not isinstance(space, MvDualSpace):
         raise AlgebraError("etale instances need a finite dual space")
     alg = space.algebra
@@ -102,17 +89,11 @@ def build_etale(space, base):
         raise AlgebraError(f"unknown base {base!r}")
     position = {pt: pos for pos, pt in enumerate(base_points)}
     q = np.array([position[int(v)] for v in raw])
-    if set(q.tolist()) != set(range(len(base_points))):
-        raise AlgebraError("bundle map is not surjective")
-    stalks = []
-    for pos, pt in enumerate(base_points):
-        qt = quotient(alg, ideals[pos])
-        if base == BASE_PRIME:
-            leq = qt.algebra.leq
-            if qt.algebra.n < 2 or not (leq | leq.T).all():
-                raise AlgebraError("a prime stalk is not a nontrivial chain")
-        stalks.append(Stalk(point=pt, ideal=ideals[pos], quotient=qt))
-    return EtaleInstance(space, base, tuple(base_points), q, tuple(stalks))
+    stalks = tuple(
+        Stalk(point=pt, ideal=ideals[pos], quotient=quotient(alg, ideals[pos]))
+        for pos, pt in enumerate(base_points)
+    )
+    return EtaleInstance(space, base, tuple(base_points), q, stalks)
 
 
 # -- patching ---------------------------------------------------------------

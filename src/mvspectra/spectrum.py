@@ -13,9 +13,11 @@ the build runs no closure fixpoint.  mv.is_maximal_mv_ideal and
 mv.ideal_generated are the slow oracles, called only by the tests and by
 verify's ideal-join-coincidence check.
 
-Construction checks the structural laws eagerly and raises AlgebraError if
-any fails; on a valid algebra none can, so a failure always points at a
-malformed input table (validate=False constructions).
+Construction computes and does not check: MvDualSpace raises AlgebraError
+only where a table entry cannot be produced at all.  verify owns the laws,
+one check each.  MvDualSpace and ChangSpace answer the same point methods
+(involute, partial_plus, k_map, m_map, fiber, to_json, to_dot), so callers
+never branch on the carrier.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .lattice import (
     dual_order,
     enumerate_prime_ideals,
     lattice_isomorphic,
-    transitive_closure,
 )
 from .mv import enumerate_mv_ideals, is_mv_ideal, maximal_mv_ideals
 
@@ -80,12 +81,14 @@ class MvDualSpace:
         elem_point[gens] = np.arange(npts)
 
         self.involution = self._build_involution()
-        self.plus = self._build_plus(elem_point)
+        # x + y is the point generated by the sum of the generators, and is
+        # undefined where that sum reaches one
+        gen_sum = alg.oplus[gens[:, None], gens[None, :]]
+        self.plus = np.where(gen_sum != alg.one, elem_point[gen_sum], -1)
         self.y_points = tuple(
             i for i, pt in enumerate(self.points) if is_mv_ideal(alg, pt.ideal)
         )
         self.y_set = frozenset(self.y_points)
-        self._check_y_is_idempotents()
         maximal = frozenset(maximal_mv_ideals(alg))
         self.z_points = tuple(
             i for i in self.y_points if self.points[i].ideal in maximal
@@ -94,7 +97,7 @@ class MvDualSpace:
         self.k = self._build_k()
         self.m = self._build_m()
 
-    # -- builders, each ending in its structural checks ---------------------
+    # -- builders ------------------------------------------------------------
 
     def _build_involution(self):
         alg, npts = self.algebra, len(self.points)
@@ -106,43 +109,7 @@ class MvDualSpace:
             if j is None:
                 raise AlgebraError("negated complement filter is not a point")
             inv[idx] = j
-        if not (inv[inv] == np.arange(npts)).all():
-            raise AlgebraError("involution squared is not the identity")
-        leq = self.order.leq
-        if not (leq == leq[np.ix_(inv, inv)].T).all():
-            raise AlgebraError("involution is not order-reversing")
-        if not (leq[np.arange(npts), inv] | leq[inv, np.arange(npts)]).all():
-            raise AlgebraError("a point is incomparable with its involute")
         return inv
-
-    def _build_plus(self, elem_point):
-        alg = self.algebra
-        npts = len(self.points)
-        gen_sum = alg.oplus[self.generators[:, None], self.generators[None, :]]
-        defined = gen_sum != alg.one
-        # the two domain descriptions must agree: the sum ideal is proper
-        # exactly when i(x) lies above y
-        dom_by_inv = self.order.leq[np.arange(npts)[None, :], self.involution[:, None]]
-        if not (defined == dom_by_inv).all():
-            raise AlgebraError("domain of + differs from the involution bound")
-        plus = np.where(defined, elem_point[gen_sum], -1)
-        if (plus[defined] < 0).any():
-            raise AlgebraError("a defined sum of points is not prime")
-        if not (plus == plus.T).all():
-            raise AlgebraError("+ is not commutative")
-        return plus
-
-    def _check_y_is_idempotents(self):
-        npts = len(self.points)
-        diag = self.plus.diagonal()
-        idem = frozenset(
-            int(x)
-            for x in range(npts)
-            if diag[x] >= 0 and self.order.leq[diag[x], x]
-        )
-        fixed = frozenset(int(x) for x in range(npts) if diag[x] == x)
-        if not (idem == fixed == self.y_set):
-            raise AlgebraError("self-addable idempotents differ from MV points")
 
     def _build_k(self):
         alg, npts = self.algebra, len(self.points)
@@ -153,13 +120,9 @@ class MvDualSpace:
             bad = mem[alg.ominus] & ~mem[:, None]
             ideal = frozenset(np.flatnonzero(~bad.any(axis=0)).tolist())
             j = self._index.get(ideal)
-            if j is None or j not in self.y_set:
-                raise AlgebraError("k formula left the MV points")
+            if j is None:
+                raise AlgebraError("k formula ideal is not a point")
             k[idx] = j
-        fixed = k == np.arange(npts)
-        for x in range(npts):
-            if fixed[x] != (x in self.y_set):
-                raise AlgebraError("k does not fix exactly the MV points")
         return k
 
     def _build_m(self):
@@ -172,9 +135,6 @@ class MvDualSpace:
                     f"point {y} lies under {len(above)} maximal MV points"
                 )
             m[y] = above[0]
-        for z in self.z_points:
-            if m[z] != z:
-                raise AlgebraError("m does not fix the maximal points")
         return m
 
     # -- derived views -------------------------------------------------------
@@ -201,65 +161,71 @@ class MvDualSpace:
     def point_label(self, x):
         return str(self.algebra.labels[int(self.generators[x])])
 
+    # -- the point protocol shared with ChangSpace ----------------------------
+
+    def involute(self, x):
+        return int(self.involution[x])
+
+    def partial_plus(self, x, y):
+        """x + y, or None when undefined; never an exception on the domain gap."""
+        v = int(self.plus[x, y])
+        return v if v >= 0 else None
+
+    def k_map(self, x):
+        return int(self.k[x])
+
+    def m_map(self, y):
+        if y not in self.y_set:
+            raise AlgebraError("m is only defined on MV points")
+        return int(self.m[y])
+
+    def fiber(self, y, chang_bound=32):
+        """k^{-1}(up y): all points retracting onto at least y."""
+        if y not in self.y_set:
+            raise AlgebraError("fibers are indexed by MV points")
+        return np.flatnonzero(self.order.leq[y, self.k]).tolist()
+
+    def to_json(self, chang_bound=32):
+        return {
+            "schema": SCHEMA,
+            "kind": "dual-space",
+            "points": [
+                {
+                    "ideal": sorted(pt.ideal),
+                    "generator": self.point_label(x),
+                }
+                for x, pt in enumerate(self.points)
+            ],
+            "order": [
+                [int(i), int(j)] for i, j in np.argwhere(self.order.leq)
+            ],
+            "involution": [int(v) for v in self.involution],
+            "plus": [[int(v) for v in row] for row in self.plus],
+            "Y": [int(y) for y in self.y_points],
+            "Z": [int(z) for z in self.z_points],
+            "k": [int(v) for v in self.k],
+            "m": [[int(y), int(z)] for y, z in sorted(self.m.items())],
+        }
+
+    def to_dot(self, plus_edges=False, chang_bound=8):
+        labels = [self.point_label(x) for x in range(len(self.points))]
+        extra = []
+        if plus_edges:
+            for (x, y) in sorted(self.plus_domain):
+                extra.append((x, int(self.plus[x, y]), f"+{labels[y]}"))
+        return self.order.to_dot(
+            labels=labels,
+            doublecircle=self.y_points,
+            filled=self.z_points,
+            extra_edges=extra,
+        )
+
 
 def build_dual_space(alg):
     """The dual space; the symbolic chain carrier gets its taxonomy space."""
     if isinstance(alg, ChangAlgebra):
         return ChangSpace()
     return MvDualSpace(alg)
-
-
-# -- point operations -----------------------------------------------------
-
-
-def involution(space, x):
-    if isinstance(space, ChangSpace):
-        return space.involution(x)
-    return int(space.involution[x])
-
-
-def partial_plus(space, x, y):
-    """x + y, or None when undefined; never an exception on the domain gap."""
-    if isinstance(space, ChangSpace):
-        return space.plus(x, y) if space.plus_defined(x, y) else None
-    v = int(space.plus[x, y])
-    return v if v >= 0 else None
-
-
-def k_map(space, x):
-    if isinstance(space, ChangSpace):
-        return space.k_map(x)
-    return int(space.k[x])
-
-
-def m_map(space, y):
-    if isinstance(space, ChangSpace):
-        return space.m_map(y)
-    if y not in space.y_set:
-        raise AlgebraError("m is only defined on MV points")
-    return int(space.m[y])
-
-
-def fiber(space, y, chang_bound=32):
-    """k^{-1}(up y): all points retracting onto at least y; always a chain."""
-    if isinstance(space, ChangSpace):
-        return space.fiber(y, chang_bound)
-    if y not in space.y_set:
-        raise AlgebraError("fibers are indexed by MV points")
-    leq = space.order.leq
-    fib = [x for x in range(len(space.points)) if leq[y, space.k[x]]]
-    by_sum = [
-        x
-        for x in range(len(space.points))
-        if space.plus[x, y] >= 0 and leq[space.plus[x, y], x]
-    ]
-    if fib != by_sum:
-        raise AlgebraError("fiber characterizations disagree")
-    for a in fib:
-        for b in fib:
-            if not (leq[a, b] or leq[b, a]):
-                raise AlgebraError("a fiber of k is not totally ordered")
-    return fib
 
 
 def interpolate(space, x, xp):
@@ -334,39 +300,18 @@ def w_relation(space):
 
 
 def w_quotient(space):
-    w = w_relation(space)
-    npts = len(space.points)
-    if not w.diagonal().all() or not (w == w.T).all():
-        raise AlgebraError("zig-zag relation is not reflexive-symmetric")
-    if not (transitive_closure(w) == w).all():
-        raise AlgebraError("one-step zig-zag relation is not transitive")
-    mk = space.mk
-    if not ((mk[:, None] == mk[None, :]) == w).all():
-        raise AlgebraError("zig-zag relation differs from the kernel of m.k")
-
+    """The W classes, read off as the fibers of m.k, each with its maximal
+    point; verify's zigzag-quotient-lawful checks that W is that kernel."""
     blocks = {}
-    for x in range(npts):
-        blocks.setdefault(int(mk[x]), set()).add(x)
+    for x, z in enumerate(space.mk.tolist()):
+        blocks.setdefault(z, set()).add(x)
     classes = sorted((frozenset(b) for b in blocks.values()), key=min)
     z_of_class = []
-    leq = space.order.leq
     for block in classes:
         inz = sorted(block & space.z_set)
         if len(inz) != 1:
             raise AlgebraError("a zig-zag class misses a unique maximal point")
         z_of_class.append(inz[0])
-        # finite homeomorphism certificate: the class preimage of each basic
-        # open of Z is simultaneously a downset and an upset of X
-        rows = sorted(block)
-        outside = [x for x in range(npts) if x not in block]
-        if outside and (
-            leq[np.ix_(rows, outside)].any() or leq[np.ix_(outside, rows)].any()
-        ):
-            raise AlgebraError("a zig-zag class is not order-isolated")
-    for a in space.z_points:
-        for b in space.z_points:
-            if a != b and leq[a, b]:
-                raise AlgebraError("maximal points are not an antichain")
     return WQuotient(classes=tuple(classes), z_of_class=tuple(z_of_class))
 
 
@@ -390,11 +335,11 @@ VERDICT_BUDGET = "search budget exceeded"
 def kaplansky_check(a, b, node_budget=200_000):
     """Isomorphic lattice reducts force homeomorphic maximal spectra.
 
-    Returns one of the VERDICT_* strings.  For each finite input the maximal
-    spectrum recovered from the lattice alone (via the zig-zag quotient) is
-    checked against the maximal MV-ideal count; a mismatch raises, since it
-    would falsify the reconstruction.  A search-budget overrun is reported
-    as its own verdict, never conflated with a negative answer.
+    Returns one of the VERDICT_* strings.  |Z| of each finite input is the
+    number of its maximal MV-ideals; isomorphic reducts with different
+    counts would falsify the theorem, so that case raises.  A search-budget
+    overrun is reported as its own verdict, never conflated with a negative
+    answer.
     """
     chang_a = isinstance(a, ChangAlgebra)
     chang_b = isinstance(b, ChangAlgebra)
@@ -402,18 +347,6 @@ def kaplansky_check(a, b, node_budget=200_000):
         return VERDICT_INCOMPARABLE
     if chang_a:
         return VERDICT_HOMEOMORPHIC  # both are the same chain: |Z| = 1
-    counts = []
-    for alg in (a, b):
-        space = MvDualSpace(alg)
-        quot = w_quotient(space)
-        from_lattice = lattice_only_component_count(space.lattice)
-        if from_lattice != len(space.z_points):
-            raise AlgebraError(
-                "lattice-only maximal spectrum differs from the MV one"
-            )
-        if len(quot.classes) != len(space.z_points):
-            raise AlgebraError("zig-zag classes do not match maximal points")
-        counts.append(len(space.z_points))
     try:
         same = lattice_isomorphic(
             a.lattice_reduct(), b.lattice_reduct(), node_budget=node_budget
@@ -422,77 +355,6 @@ def kaplansky_check(a, b, node_budget=200_000):
         return VERDICT_BUDGET
     if not same:
         return VERDICT_NOT_ISOMORPHIC
-    if counts[0] != counts[1]:
+    if len(maximal_mv_ideals(a)) != len(maximal_mv_ideals(b)):
         raise AlgebraError("maximal spectra differ despite isomorphic reducts")
     return VERDICT_HOMEOMORPHIC
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def space_to_json(space, chang_bound=32):
-    if isinstance(space, ChangSpace):
-        pts = space.points_bounded(chang_bound)
-        return {
-            "schema": SCHEMA,
-            "kind": "dual-space-symbolic",
-            "bound": chang_bound,
-            "points_window": [p.label() for p in pts],
-            "Y": [y.label() for y in space.y_points],
-            "Z": [z.label() for z in space.z_points],
-            "involution": {p.label(): space.involution(p).label() for p in pts},
-            "k": {p.label(): space.k_map(p).label() for p in pts},
-            "m": {y.label(): space.m_map(y).label() for y in space.y_points},
-        }
-    npts = len(space.points)
-    return {
-        "schema": SCHEMA,
-        "kind": "dual-space",
-        "points": [
-            {
-                "ideal": sorted(pt.ideal),
-                "generator": space.point_label(x),
-            }
-            for x, pt in enumerate(space.points)
-        ],
-        "order": [
-            [int(i), int(j)] for i, j in np.argwhere(space.order.leq)
-        ],
-        "involution": [int(v) for v in space.involution],
-        "plus": [[int(v) for v in row] for row in space.plus],
-        "Y": [int(y) for y in space.y_points],
-        "Z": [int(z) for z in space.z_points],
-        "k": [int(v) for v in space.k],
-        "m": [[int(y), int(z)] for y, z in sorted(space.m.items())],
-    }
-
-
-def space_to_dot(space, plus_edges=False, chang_bound=8):
-    if isinstance(space, ChangSpace):
-        pts = space.points_bounded(chang_bound)
-        lines = ["digraph space {", "  rankdir=BT;", "  node [shape=circle];"]
-        for i, p in enumerate(pts):
-            attrs = [f'label="{p.label()}"']
-            if p in space.y_points:
-                attrs.append("peripheries=2")
-            if p in space.z_points:
-                attrs.append("style=filled fillcolor=gray80")
-            lines.append(f"  n{i} [{' '.join(attrs)}];")
-        for i in range(len(pts) - 1):
-            style = ""
-            if pts[i].family != pts[i + 1].family:
-                style = ' [style=dotted label="..."]'
-            lines.append(f"  n{i} -> n{i + 1}{style};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    labels = [space.point_label(x) for x in range(len(space.points))]
-    extra = []
-    if plus_edges:
-        for (x, y) in sorted(space.plus_domain):
-            extra.append((x, int(space.plus[x, y]), f"+{labels[y]}"))
-    return space.order.to_dot(
-        labels=labels,
-        doublecircle=space.y_points,
-        filled=space.z_points,
-        extra_edges=extra,
-    )

@@ -1,9 +1,10 @@
 """Named verification suites over a single algebra.
 
 Each check re-derives one structural law on the concrete input and raises
-AlgebraError with a witness on failure; run_suite wraps the registered
-checks into pass/fail/skip results.  The CLI and the test suite both drive
-this module, so every law is checked by exactly one piece of code.
+Error with a witness on failure; run_suite wraps the registered
+checks into pass/fail/skip results.  The spaces, bundles and solvers only
+compute, and the CLI and the test suite both drive this module, so every
+law is checked by exactly one piece of code.
 
 Suites: all, plus, k, kaplansky, sheaf-prime, sheaf-maximal, crt.  The
 symbolic chain carrier runs bounded or symbolic variants and skips the
@@ -20,7 +21,7 @@ from .chang import ChangAlgebra, ChangIdeal, ChangSpace, RADICAL, TRUNC
 from .chang import ideal_oplus_bar as chang_oplus_bar
 from .errors import CapExceeded, Error
 from .idealarith import oplus_bar, oplus_bar_oracle
-from .lattice import duality_roundtrip
+from .lattice import duality_roundtrip, transitive_closure
 from .mv import (
     check_axioms,
     enumerate_mv_ideals,
@@ -43,13 +44,13 @@ from .sheaf import (
 from .spectrum import (
     MvDualSpace,
     VERDICT_HOMEOMORPHIC,
-    fiber,
     interpolate,
     k_via_filter_difference,
     k_via_ideal_scan,
     kaplansky_check,
     lattice_only_component_count,
     w_quotient,
+    w_relation,
 )
 
 SUITE_NAMES = ("all", "plus", "k", "kaplansky", "sheaf-prime", "sheaf-maximal", "crt")
@@ -233,10 +234,20 @@ def _check_k_fixes_y(ctx):
 
 def _check_k_fibers(ctx):
     s = ctx.space
+    leq = s.order.leq
+    n = len(s.points)
     seen = set()
     for y in s.y_points:
-        seen.update(fiber(s, y))
-    if seen != set(range(len(s.points))):
+        fib = s.fiber(y)
+        # second description: the points x with x + y defined and below x
+        col = s.plus[:, y]
+        if fib != np.flatnonzero((col >= 0) & leq[col, np.arange(n)]).tolist():
+            _fail(f"fiber over {y} differs from its description by sums")
+        sub = leq[np.ix_(fib, fib)]
+        if not (sub | sub.T).all():
+            _fail(f"fiber over {y} is not a chain")
+        seen.update(fib)
+    if seen != set(range(n)):
         _fail("fibers of k miss a point")
 
 
@@ -284,7 +295,24 @@ def _check_root_system(ctx):
 
 
 def _check_w_lawful(ctx):
-    w_quotient(ctx.space)
+    s = ctx.space
+    w = w_relation(s)
+    if not w.diagonal().all() or not (w == w.T).all():
+        _fail("zig-zag relation is not reflexive-symmetric")
+    if not (transitive_closure(w) == w).all():
+        _fail("one-step zig-zag relation is not transitive")
+    if not ((s.mk[:, None] == s.mk[None, :]) == w).all():
+        _fail("zig-zag relation differs from the kernel of m.k")
+    leq = s.order.leq
+    for block in w_quotient(s).classes:
+        # finite homeomorphism certificate: the class preimage of each basic
+        # open of Z is simultaneously a downset and an upset of X
+        inside = np.isin(np.arange(len(s.points)), list(block))
+        if leq[np.ix_(inside, ~inside)].any() or leq[np.ix_(~inside, inside)].any():
+            _fail("a zig-zag class is not order-isolated")
+    z = list(s.z_points)
+    if (leq[np.ix_(z, z)] != np.eye(len(z), dtype=bool)).any():
+        _fail("maximal points are not an antichain")
 
 
 def _check_w_components(ctx):
@@ -368,6 +396,11 @@ def _check_germinal(ctx):
                 "finite algebras have no non-maximal MV points, so the "
                 f"germinal ideal at {z} must be its own ideal"
             )
+        carved = [
+            x for x in range(len(s.points)) if germ <= s.points[s.k[x]].ideal
+        ]
+        if carved != np.flatnonzero(s.mk == z).tolist():
+            _fail(f"germinal subspace at {z} differs from its m.k fiber")
 
 
 def _check_eta_maximal(ctx):
@@ -501,8 +534,8 @@ def _chang_plus(ctx):
     space = ChangSpace()
     pts = space.points_bounded(min(ctx.chang_bound, 8))
     for p in pts:
-        ip = space.involution(p)
-        if space.involution(ip) != p:
+        ip = space.involute(p)
+        if space.involute(ip) != p:
             _fail(f"involution not involutive at {p.label()}")
         for q in pts:
             dp = space.plus_defined(p, q)

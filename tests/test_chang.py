@@ -265,23 +265,23 @@ def test_point_order_is_inclusion():
 
 
 def test_involution_frozen_and_order_reversing():
-    assert SPACE.involution(ChangIdeal(TRUNC, 0)) == ChangIdeal(COFINITE, 1)
-    assert SPACE.involution(ChangIdeal(TRUNC, 4)) == ChangIdeal(COFINITE, 5)
-    assert SPACE.involution(ChangIdeal(RADICAL)) == ChangIdeal(RADICAL)
-    assert SPACE.involution(ChangIdeal(COFINITE, 3)) == ChangIdeal(TRUNC, 2)
+    assert SPACE.involute(ChangIdeal(TRUNC, 0)) == ChangIdeal(COFINITE, 1)
+    assert SPACE.involute(ChangIdeal(TRUNC, 4)) == ChangIdeal(COFINITE, 5)
+    assert SPACE.involute(ChangIdeal(RADICAL)) == ChangIdeal(RADICAL)
+    assert SPACE.involute(ChangIdeal(COFINITE, 3)) == ChangIdeal(TRUNC, 2)
     pts = SPACE.points_bounded(4)
     for p in pts:
-        assert SPACE.involution(SPACE.involution(p)) == p
+        assert SPACE.involute(SPACE.involute(p)) == p
         for q in pts:
             assert SPACE.point_leq(p, q) == SPACE.point_leq(
-                SPACE.involution(q), SPACE.involution(p)
+                SPACE.involute(q), SPACE.involute(p)
             )
 
 
 def test_involution_is_negated_complement_filter():
     # membership route: u lies in i(x) exactly when neg(u) is outside x
     for p in SPACE.points_bounded(4):
-        q = SPACE.involution(p)
+        q = SPACE.involute(p)
         for u in window(10):
             assert (u in q) == (ALG.neg(u) not in p), p.label()
 
@@ -341,7 +341,7 @@ def test_involution_is_largest_addable():
             addable,
             key=lambda q: sum(SPACE.point_leq(r, q) for r in outer),
         )
-        assert best == SPACE.involution(p), p.label()
+        assert best == SPACE.involute(p), p.label()
 
 
 def test_self_addable_idempotents_are_the_mv_points():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -152,13 +153,16 @@ def test_dot_rejected_where_meaningless(capsys):
     assert run(["verify", "--input", L4, "--format", "dot"])[0] == 2
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("MV_SPECTRA_THREADS", "4")
-    assert run(["check", "--input", L4])[0] == 0
-    monkeypatch.setenv("MV_SPECTRA_THREADS", "0")
-    assert run(["check", "--input", L4])[0] == 2
-    monkeypatch.setenv("MV_SPECTRA_THREADS", "many")
-    assert run(["check", "--input", L4])[0] == 2
+def test_huge_chain_rejected_before_tables(capsys):
+    # (n + 1)^2 int64 tables of L100000 would take about 75 GiB
+    huge = '{"kind":"lukasiewicz","n":100000}'
+    for command in ("spectrum", "check"):
+        start = time.perf_counter()
+        code, text = run([command, "--input", huge])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "exceeds cap 4096" in err and "Traceback" not in err
 
 
 def test_usage_errors_from_argparse():

@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvspectra import spectrum as sp
 from mvspectra.chang import RADICAL, TRUNC, ChangAlgebra, ChangIdeal, ChangSpace
@@ -43,16 +45,16 @@ def test_three_chain_space_pinned():
     leq = space.order.leq
     assert leq[x1, x2] and not leq[x2, x1]
     assert space.y_points == (x1,) and space.z_points == (x1,)
-    assert sp.involution(space, x1) == x2 and sp.involution(space, x2) == x1
-    assert sp.partial_plus(space, x1, x1) == x1
-    assert sp.partial_plus(space, x1, x2) == x2
-    assert sp.partial_plus(space, x2, x1) == x2
-    assert sp.partial_plus(space, x2, x2) is None
+    assert space.involute(x1) == x2 and space.involute(x2) == x1
+    assert space.partial_plus(x1, x1) == x1
+    assert space.partial_plus(x1, x2) == x2
+    assert space.partial_plus(x2, x1) == x2
+    assert space.partial_plus(x2, x2) is None
     assert space.plus_domain == frozenset({(x1, x1), (x1, x2), (x2, x1)})
-    assert sp.k_map(space, x1) == x1 and sp.k_map(space, x2) == x1
-    assert set(sp.fiber(space, x1)) == {x1, x2}
+    assert space.k_map(x1) == x1 and space.k_map(x2) == x1
+    assert set(space.fiber(x1)) == {x1, x2}
     assert sp.interpolate(space, x1, x2) == x1
-    assert sp.m_map(space, x1) == x1
+    assert space.m_map(x1) == x1
     quot = sp.w_quotient(space)
     assert quot.classes == (frozenset({x1, x2}),)
     assert quot.z_of_class == (x1,)
@@ -67,7 +69,7 @@ def test_boolean_spaces_are_discrete():
         quot = sp.w_quotient(space)
         assert len(quot.classes) == n
         assert set(space.z_points) == set(range(n))
-        assert all(sp.m_map(space, y) == y for y in space.y_points)
+        assert all(space.m_map(y) == y for y in space.y_points)
 
 
 def test_product_space_two_components():
@@ -79,7 +81,7 @@ def test_product_space_two_components():
     y_ideals = {space.points[y].ideal for y in space.y_points}
     assert y_ideals == {kern_first, kern_second}
     assert set(space.y_points) == set(space.z_points)
-    assert all(sp.m_map(space, y) == y for y in space.y_points)
+    assert all(space.m_map(y) == y for y in space.y_points)
     quot = sp.w_quotient(space)
     assert sorted(len(c) for c in quot.classes) == [2, 3]
     assert sp.lattice_only_component_count(space.lattice) == 2
@@ -89,14 +91,14 @@ def test_chang_dispatch_and_maximal_retraction():
     space = sp.build_dual_space(ChangAlgebra())
     assert isinstance(space, ChangSpace)
     bottom, radical = ChangIdeal(TRUNC, 0), ChangIdeal(RADICAL)
-    assert sp.m_map(space, bottom) == radical
-    assert sp.m_map(space, radical) == radical
+    assert space.m_map(bottom) == radical
+    assert space.m_map(radical) == radical
     # adding any tail of the radical to a cofinite point reaches the top,
     # so the retraction sends cofinite points all the way down
-    assert sp.k_map(space, ChangIdeal("cofinite", 2)) == bottom
-    assert sp.k_map(space, radical) == radical
-    assert radical in sp.fiber(space, radical, chang_bound=6)
-    assert bottom not in sp.fiber(space, radical, chang_bound=6)
+    assert space.k_map(ChangIdeal("cofinite", 2)) == bottom
+    assert space.k_map(radical) == radical
+    assert radical in space.fiber(radical, chang_bound=6)
+    assert bottom not in space.fiber(radical, chang_bound=6)
 
 
 # -- structural law batteries on the family ------------------------------------
@@ -133,7 +135,7 @@ def test_plus_table_matches_fixpoint_sums(small_family):
         for x, px in enumerate(space.points):
             for y, py in enumerate(space.points):
                 direct = oplus_bar_oracle(alg, px.ideal, py.ideal)
-                got = sp.partial_plus(space, x, y)
+                got = space.partial_plus(x, y)
                 if got is None:
                     assert alg.one in direct
                 else:
@@ -144,7 +146,7 @@ def test_k_routes_and_fixed_points(small_family):
     for label, alg in small_family.items():
         space = sp.build_dual_space(alg)
         for x in range(len(space.points)):
-            kx = sp.k_map(space, x)
+            kx = space.k_map(x)
             assert kx == sp.k_via_ideal_scan(space, x)
             assert kx == sp.k_via_filter_difference(space, x)
             assert (kx == x) == (x in space.y_set)
@@ -157,8 +159,8 @@ def test_interpolation_bounds(small_family):
         for x, xp in np.argwhere(leq).tolist():
             w = sp.interpolate(space, x, xp)
             assert leq[x, w] and leq[w, xp]
-            assert leq[sp.k_map(space, x), sp.k_map(space, w)]
-            assert leq[sp.k_map(space, xp), sp.k_map(space, w)]
+            assert leq[space.k_map(x), space.k_map(w)]
+            assert leq[space.k_map(xp), space.k_map(w)]
 
 
 def test_hat_map_is_a_downset_bijection(small_family):
@@ -206,9 +208,9 @@ def test_error_paths():
     space = sp.build_dual_space(lukasiewicz_chain(2))
     x2 = point_of(space, {0, 1})
     with pytest.raises(Error):
-        sp.fiber(space, x2)
+        space.fiber(x2)
     with pytest.raises(Error):
-        sp.m_map(space, x2)
+        space.m_map(x2)
     with pytest.raises(Error):
         sp.interpolate(space, x2, point_of(space, {0}))
     with pytest.raises(Error):
@@ -226,24 +228,64 @@ def test_space_rejects_broken_tables():
 
 def test_json_deterministic_and_complete():
     alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
-    one = json.dumps(sp.space_to_json(sp.build_dual_space(alg)), sort_keys=True)
-    two = json.dumps(sp.space_to_json(sp.build_dual_space(alg)), sort_keys=True)
+    one = json.dumps(sp.build_dual_space(alg).to_json(), sort_keys=True)
+    two = json.dumps(sp.build_dual_space(alg).to_json(), sort_keys=True)
     assert one == two
     data = json.loads(one)
     assert data["schema"] == "mv-spectra/1"
     for key in ("points", "order", "involution", "plus", "Y", "Z", "k", "m"):
         assert key in data
-    chang = sp.space_to_json(sp.build_dual_space(ChangAlgebra()), chang_bound=5)
+    chang = sp.build_dual_space(ChangAlgebra()).to_json(chang_bound=5)
     assert chang["schema"] == "mv-spectra/1"
     assert "I_omega" in json.dumps(chang)
 
 
 def test_dot_output_marks_point_classes():
     space = sp.build_dual_space(product(lukasiewicz_chain(2), lukasiewicz_chain(3)))
-    dot = sp.space_to_dot(space)
+    dot = space.to_dot()
     assert dot.startswith("digraph")
     assert "peripheries=2" in dot and "style=filled" in dot
-    withplus = sp.space_to_dot(space, plus_edges=True)
+    withplus = space.to_dot(plus_edges=True)
     assert len(withplus) > len(dot)
-    chang_dot = sp.space_to_dot(sp.build_dual_space(ChangAlgebra()), chang_bound=4)
+    chang_dot = sp.build_dual_space(ChangAlgebra()).to_dot(chang_bound=4)
     assert "I_omega" in chang_dot
+
+
+# -- invariance under relabelling the carrier ------------------------------------
+
+
+def relabelled(alg, perm):
+    """The same algebra with element a renamed perm[a]."""
+    perm = np.asarray(perm)
+    inv = np.argsort(perm)
+    return MvAlgebra(
+        perm[alg.neg[inv]],
+        perm[alg.oplus[inv[:, None], inv[None, :]]],
+        zero=int(perm[alg.zero]),
+        labels=[alg.labels[a] for a in inv],
+    )
+
+
+@st.composite
+def chain_product_and_permutation(draw):
+    first = draw(st.integers(1, 8))
+    second = draw(st.integers(0, 36 // (first + 1) - 1))
+    alg = lukasiewicz_chain(first)
+    if second:
+        alg = product(alg, lukasiewicz_chain(second))
+    return alg, draw(st.permutations(range(alg.n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=15, database=None)
+@given(chain_product_and_permutation())
+def test_relabelling_invariance(case):
+    alg, perm = case
+    pair = (alg, relabelled(alg, perm))
+    sizes = [
+        (len(s.points), len(s.y_points), len(s.z_points), len(s.plus_domain))
+        for s in map(sp.build_dual_space, pair)
+    ]
+    assert sizes[0] == sizes[1]
+    for suite in ("plus", "k"):
+        statuses = [[(r.name, r.status) for r in run_suite(a, suite)] for a in pair]
+        assert statuses[0] == statuses[1]

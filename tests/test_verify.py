@@ -1,10 +1,12 @@
 """Suite-runner behavior: statuses, determinism, and honest failures."""
 
+import numpy as np
 import pytest
 
+from mvspectra import verify
 from mvspectra.chang import ChangAlgebra
 from mvspectra.errors import Error
-from mvspectra.mv import MvAlgebra, lukasiewicz_chain
+from mvspectra.mv import MvAlgebra, lukasiewicz_chain, product
 from mvspectra.verify import SUITE_NAMES, run_suite
 
 
@@ -52,3 +54,66 @@ def test_deterministic_across_runs():
     one = run_suite(lukasiewicz_chain(4), "crt", seed=5)
     two = run_suite(lukasiewicz_chain(4), "crt", seed=5)
     assert one == two
+
+
+# -- each law is owned by its row: a corrupted space fails exactly there --------
+
+REAL_SPACE = verify.MvDualSpace
+L2xL3 = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
+# its points: 0 < 1 over the MV point 0, and 4 < 3 < 2 over the MV point 4
+
+
+def _swap_involution(s):
+    s.involution[[0, 4]] = s.involution[[4, 0]]
+
+
+def _drop_plus_entry(s):
+    s.plus[0, 1] = -1
+
+
+def _k_fixes_non_mv_point(s):
+    s.k[1] = 1
+
+
+def _y_misses_a_point(s):
+    s.y_points = (0,)
+    s.y_set = frozenset(s.y_points)
+
+
+def _fiber_across_components(s):
+    # both fiber descriptions move 1 from over 0 to over 4, beside the
+    # incomparable point 4
+    s.k[1] = 4
+    s.plus[1, 4] = 1
+    s.plus[1, 0] = -1
+
+
+def _germ_carves_less_than_fiber(s):
+    s.mk = np.array([0, 0, 4, 4, 0])
+
+
+CORRUPTIONS = [
+    ("plus", "involution-laws", _swap_involution, ""),
+    ("plus", "plus-commutative", _drop_plus_entry, ""),
+    ("k", "k-fixes-exactly-mv-points", _k_fixes_non_mv_point, ""),
+    ("plus", "plus-idempotents-are-mv-points", _y_misses_a_point, ""),
+    ("k", "k-fibers-cover-and-chain", _fiber_across_components, "not a chain"),
+    ("sheaf-maximal", "germinal-ideals-carve-fibers", _germ_carves_less_than_fiber,
+     "m.k fiber"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,row,edit,detail", CORRUPTIONS, ids=[c[2].__name__ for c in CORRUPTIONS]
+)
+def test_corrupted_space_fails_the_owning_row(monkeypatch, suite, row, edit, detail):
+    def corrupted(alg):
+        space = REAL_SPACE(alg)
+        edit(space)
+        return space
+
+    assert {r.status for r in run_suite(L2xL3, suite)} == {"pass"}
+    monkeypatch.setattr(verify, "MvDualSpace", corrupted)
+    rows = {r.name: r for r in run_suite(L2xL3, suite)}
+    assert rows[row].status == "fail"
+    assert detail in rows[row].detail
