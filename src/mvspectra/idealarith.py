@@ -3,8 +3,9 @@
 The pointwise sum of two ideals collects everything below a sum of
 members; the difference of a filter and an ideal collects everything above
 a difference.  Both are again an ideal respectively a filter, and they are
-adjoint to each other.  The comprehension route here is cross-checked in
-the tests against closure-fixpoint oracles.
+adjoint to each other.  The comprehension route here is cross-checked,
+in the tests and by verify, against closure-fixpoint oracles that iterate
+on boolean membership vectors.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AlgebraError
-from .lattice import is_lattice_filter, is_lattice_ideal
+from .lattice import _closure, is_lattice_filter, is_lattice_ideal
 
 
 def _as_indices(alg, members, what):
@@ -46,29 +47,22 @@ def ominus_bar(alg, f, i):
     return frozenset(np.flatnonzero(above).tolist())
 
 
+def _pairwise(alg, table, left, right):
+    inside = np.zeros(alg.n, dtype=bool)
+    rows = np.fromiter(left, dtype=np.intp)
+    cols = np.fromiter(right, dtype=np.intp)
+    inside[table[np.ix_(rows, cols)]] = True
+    return inside
+
+
 def oplus_bar_oracle(alg, i, j):
     """Lattice-ideal closure of the set of pairwise sums; for cross-checks."""
-    cur = {int(alg.oplus[a, b]) for a in i for b in j}
-    while True:
-        nxt = set(cur)
-        for a in cur:
-            nxt.update(np.flatnonzero(alg.leq[:, a]).tolist())
-            nxt.update(int(alg.join[a, b]) for b in cur)
-        if nxt == cur:
-            return frozenset(cur)
-        cur = nxt
+    return _closure(alg.leq, alg.join, _pairwise(alg, alg.oplus, i, j))
 
 
 def ominus_bar_oracle(alg, f, i):
-    cur = {int(alg.ominus[a, b]) for a in f for b in i}
-    while True:
-        nxt = set(cur)
-        for a in cur:
-            nxt.update(np.flatnonzero(alg.leq[a, :]).tolist())
-            nxt.update(int(alg.meet[a, b]) for b in cur)
-        if nxt == cur:
-            return frozenset(cur)
-        cur = nxt
+    """Lattice-filter closure of the set of pairwise differences."""
+    return _closure(alg.leq.T, alg.meet, _pairwise(alg, alg.ominus, f, i))
 
 
 def contains_one(alg, i, j):

@@ -330,6 +330,20 @@ def _closed_set(order, op, members):
     )
 
 
+def _closure(order, op, inside):
+    """Least superset of the boolean membership vector inside with no
+    order[a, b] from outside to inside and with op keeping every pair of
+    members inside, as a frozenset: the slow fixpoint behind the closure
+    oracles, adding one round of order and op images until nothing changes."""
+    while True:
+        idx = np.flatnonzero(inside)
+        nxt = inside | order[:, idx].any(axis=1)
+        nxt[op[np.ix_(idx, idx)]] = True
+        if (nxt == inside).all():
+            return frozenset(idx.tolist())
+        inside = nxt
+
+
 def is_lattice_ideal(lat, members):
     """Nonempty downset closed under pairwise joins; lat is anything with
     leq and join tables (a lattice or an MV-algebra)."""

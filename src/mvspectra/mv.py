@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlgebraError, CapExceeded
-from .lattice import SCHEMA, FiniteDistLattice, _closed_set
+from .lattice import SCHEMA, FiniteDistLattice, _closed_set, _closure
 
 _LAW_ORDER = (
     "involution",
@@ -53,8 +53,11 @@ class MvAlgebra:
     """
 
     def __init__(self, neg, oplus, zero=0, labels=None, validate=True):
-        self.neg = np.array(neg, dtype=np.int64)
-        self.oplus = np.array(oplus, dtype=np.int64)
+        try:
+            self.neg = np.array(neg, dtype=np.int64)
+            self.oplus = np.array(oplus, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            raise AlgebraError("tables must be rectangular int64 arrays") from None
         self.zero = int(zero)
         n = self.neg.shape[0] if self.neg.ndim == 1 else 0
         if n == 0:
@@ -266,15 +269,9 @@ def ideal_generated(alg, seed):
     Slow oracle: verify's ideal-join-coincidence check holds it against
     idealarith.oplus_bar, the route the program computes joins with.
     """
-    cur = {alg.zero} | {int(x) for x in seed}
-    while True:
-        nxt = set(cur)
-        for a in cur:
-            nxt.update(np.flatnonzero(alg.leq[:, a]).tolist())
-            nxt.update(int(alg.oplus[a, b]) for b in cur)
-        if nxt == cur:
-            return frozenset(cur)
-        cur = nxt
+    inside = np.zeros(alg.n, dtype=bool)
+    inside[[alg.zero, *(int(x) for x in seed)]] = True
+    return _closure(alg.leq, alg.oplus, inside)
 
 
 def ideal_generated_sums(alg, seed):
@@ -359,6 +356,13 @@ def ideal_congruent(alg, a, b, ideal):
     return int(alg.ominus[a, b]) in ideal and int(alg.ominus[b, a]) in ideal
 
 
+def congruence_class(alg, a, ideal):
+    """Boolean vector over the carrier: b is congruent to a modulo the ideal."""
+    inside = np.zeros(alg.n, dtype=bool)
+    inside[list(ideal)] = True
+    return inside[alg.ominus[:, a]] & inside[alg.ominus[a, :]]
+
+
 @dataclass(frozen=True)
 class Quotient:
     algebra: MvAlgebra
@@ -412,7 +416,7 @@ def algebra_from_json(data, product_cap=4096, validate=True):
     if kind == "lukasiewicz":
         try:
             n = int(data["n"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise AlgebraError('lukasiewicz needs an integer "n"') from None
         if n + 1 > product_cap:
             raise CapExceeded(f"chain carrier {n + 1} exceeds cap {product_cap}")
@@ -434,15 +438,27 @@ def algebra_from_json(data, product_cap=4096, validate=True):
     if kind == "tables":
         if "neg" not in data or "oplus" not in data:
             raise AlgebraError('tables needs "neg" and "oplus"')
-        return from_tables(
-            data["neg"], data["oplus"], zero=data.get("zero", 0),
-            labels=data.get("labels"), validate=validate,
-        )
+        neg, oplus = data["neg"], data["oplus"]
+        zero, labels = data.get("zero", 0), data.get("labels")
+        if not _json_ints(neg):
+            raise AlgebraError('tables "neg" must be a list of integers')
+        if not isinstance(oplus, list) or not all(_json_ints(row) for row in oplus):
+            raise AlgebraError('tables "oplus" must be a list of integer lists')
+        if type(zero) is not int:
+            raise AlgebraError('tables "zero" must be an integer')
+        if labels is not None and not isinstance(labels, list):
+            raise AlgebraError('tables "labels" must be a list')
+        return from_tables(neg, oplus, zero=zero, labels=labels, validate=validate)
     if kind == "chang":
         from .chang import ChangAlgebra
 
         return ChangAlgebra()
     raise AlgebraError(f"unknown algebra kind {kind!r}")
+
+
+def _json_ints(values):
+    # exact type: JSON true/false parse to bool, a subclass of int
+    return isinstance(values, list) and set(map(type, values)) <= {int}
 
 
 def algebra_to_json(alg):

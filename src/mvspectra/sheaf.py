@@ -19,7 +19,7 @@ import numpy as np
 from .errors import AlgebraError, CapExceeded
 from .lattice import SCHEMA
 from .idealarith import oplus_bar
-from .mv import ideal_congruent, is_mv_ideal, quotient
+from .mv import congruence_class, ideal_congruent, is_mv_ideal, quotient
 from .spectrum import MvDualSpace
 
 BASE_PRIME = "prime"
@@ -72,11 +72,10 @@ def germinal_ideal(space, z):
     return frozenset.intersection(*(space.points[y].ideal for y in below))
 
 
-def build_etale(space, base):
-    """The bundle over Y via k, or over Z via m.k, with tabulated stalks."""
+def _bundle_map(space, base):
+    """Base points, their ideals and q: every point of X to its base position."""
     if not isinstance(space, MvDualSpace):
         raise AlgebraError("etale instances need a finite dual space")
-    alg = space.algebra
     if base == BASE_PRIME:
         base_points = space.y_points
         raw = space.k
@@ -89,11 +88,18 @@ def build_etale(space, base):
         raise AlgebraError(f"unknown base {base!r}")
     position = {pt: pos for pos, pt in enumerate(base_points)}
     q = np.array([position[int(v)] for v in raw])
+    return tuple(base_points), ideals, q
+
+
+def build_etale(space, base):
+    """The bundle over Y via k, or over Z via m.k, with tabulated stalks."""
+    base_points, ideals, q = _bundle_map(space, base)
+    alg = space.algebra
     stalks = tuple(
         Stalk(point=pt, ideal=ideals[pos], quotient=quotient(alg, ideals[pos]))
         for pos, pt in enumerate(base_points)
     )
-    return EtaleInstance(space, base, tuple(base_points), q, stalks)
+    return EtaleInstance(space, base, base_points, q, stalks)
 
 
 # -- patching ---------------------------------------------------------------
@@ -117,9 +123,9 @@ def check_property_p(space, base, cover, downsets):
     the K_l & q^{-1}(U_l) is returned with the element realizing it as a
     hat; otherwise the first violating pair and a witness point.
     """
-    inst = build_etale(space, base)
-    base_set = set(range(len(inst.base_points)))
-    point_pos = {pt: pos for pos, pt in enumerate(inst.base_points)}
+    base_points, _, q = _bundle_map(space, base)
+    base_set = set(range(len(base_points)))
+    point_pos = {pt: pos for pos, pt in enumerate(base_points)}
     if len(cover) != len(downsets):
         raise AlgebraError("cover and downset lists must align")
     cover_pos = []
@@ -136,9 +142,9 @@ def check_property_p(space, base, cover, downsets):
     if base == BASE_PRIME:
         leq = space.order.leq
         for u in cover_pos:
-            pts = [inst.base_points[p] for p in u]
+            pts = [base_points[p] for p in u]
             for y in pts:
-                for yp in inst.base_points:
+                for yp in base_points:
                     if leq[y, yp] and point_pos[yp] not in u:
                         raise AlgebraError("a cover set is not an upset")
     hats = space.hat_to_element
@@ -149,7 +155,7 @@ def check_property_p(space, base, cover, downsets):
             raise AlgebraError("a patch set is not of the form a-hat")
         k_sets.append(fs)
     npts = len(space.points)
-    pre = [frozenset(x for x in range(npts) if int(inst.q[x]) in u) for u in cover_pos]
+    pre = [frozenset(x for x in range(npts) if int(q[x]) in u) for u in cover_pos]
     for l in range(len(cover_pos)):
         for m in range(len(cover_pos)):
             overlap = pre[l] & pre[m]
@@ -288,17 +294,13 @@ def crt_solve(alg, ideals, targets):
                 raise AlgebraError(
                     f"targets {l} and {m} are incompatible modulo the join"
                 )
-    found = [
-        b
-        for b in range(alg.n)
-        if all(
-            ideal_congruent(alg, b, targets[l], ideals[l])
-            for l in range(len(ideals))
-        )
-    ]
+    solved = np.logical_and.reduce(
+        [congruence_class(alg, t, i) for i, t in zip(ideals, targets)]
+    )
+    found = np.flatnonzero(solved)
     if len(found) != 1:
         raise AlgebraError(f"expected a unique solution, found {len(found)}")
-    return found[0]
+    return int(found[0])
 
 
 def crt_term(alg, units, targets, space=None):

@@ -24,6 +24,7 @@ from .idealarith import oplus_bar, oplus_bar_oracle
 from .lattice import duality_roundtrip, transitive_closure
 from .mv import (
     check_axioms,
+    congruence_class,
     enumerate_mv_ideals,
     ideal_congruent,
     ideal_generated,
@@ -422,6 +423,13 @@ def _check_maximal_fibers(ctx):
 # -- finite checks: remainder solving ------------------------------------------
 
 
+def _congruent_pick(alg, rng, planted, ideal):
+    """A random member of planted's class modulo the ideal; the class is
+    drawn from in ascending order, so a seed always picks the same one."""
+    cls = np.flatnonzero(congruence_class(alg, planted, ideal))
+    return int(cls[int(rng.integers(len(cls)))])
+
+
 def _check_crt_random(ctx):
     alg = ctx.alg
     rng = np.random.default_rng(ctx.seed)
@@ -430,12 +438,7 @@ def _check_crt_random(ctx):
         _fail("maximal ideals do not intersect to zero")
     for trial in range(ctx.crt_count):
         planted = int(rng.integers(alg.n))
-        targets = []
-        for ideal in maximal:
-            cls = [
-                a for a in range(alg.n) if ideal_congruent(alg, a, planted, ideal)
-            ]
-            targets.append(int(cls[int(rng.integers(len(cls)))]))
+        targets = [_congruent_pick(alg, rng, planted, ideal) for ideal in maximal]
         got = crt_solve(alg, maximal, targets)
         if got != planted:
             _fail(f"trial {trial}: solved {got}, planted {planted}")
@@ -464,12 +467,7 @@ def _check_crt_term(ctx):
     ideals = [s.points[z].ideal for z in s.z_points]
     for trial in range(min(ctx.crt_count, 50)):
         planted = int(rng.integers(alg.n))
-        targets = []
-        for ideal in ideals:
-            cls = [
-                a for a in range(alg.n) if ideal_congruent(alg, a, planted, ideal)
-            ]
-            targets.append(int(cls[int(rng.integers(len(cls)))]))
+        targets = [_congruent_pick(alg, rng, planted, ideal) for ideal in ideals]
         t, b = crt_term(alg, units, targets, space=s)
         if b != crt_solve(alg, ideals, targets):
             _fail(f"trial {trial}: term route disagrees with the scan route")

@@ -165,6 +165,38 @@ def test_huge_chain_rejected_before_tables(capsys):
         assert "exceeds cap 4096" in err and "Traceback" not in err
 
 
+def _l2_tables(**edit):
+    data = {"kind": "tables", "neg": [2, 1, 0],
+            "oplus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]]}
+    data.update(edit)
+    return json.dumps(data)
+
+
+MALFORMED = [
+    _l2_tables(zero="a"),
+    _l2_tables(oplus=[[0, None, 2], [1, 2, 2], [2, 2, 2]]),
+    _l2_tables(oplus=[[0, "x", 2], [1, 2, 2], [2, 2, 2]]),
+    _l2_tables(labels=5),
+    _l2_tables(oplus=[[0, 1.5, 2], [1, 2, 2], [2, 2, 2]]),
+    _l2_tables(oplus=[[0, True, 2], [1, 2, 2], [2, 2, 2]]),
+    '{"kind":"lukasiewicz","n":Infinity}',
+]
+
+
+@pytest.mark.parametrize(
+    "raw", MALFORMED,
+    ids=["zero-string", "oplus-null", "oplus-string", "labels-int", "oplus-float",
+         "oplus-bool", "n-infinity"],
+)
+def test_malformed_json_is_usage_error(capsys, raw):
+    assert run(["check", "--input", _l2_tables()]) == (0, "ok\n")
+    for command in ("check", "spectrum"):
+        code, text = run([command, "--input", raw])
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("mvspectra: ") and "Traceback" not in err
+
+
 def test_usage_errors_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--input", L4, "--suite", "bogus"], out=io.StringIO())

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvspectra.errors import AlgebraError, CapExceeded
 from mvspectra.mv import (
@@ -11,6 +15,7 @@ from mvspectra.mv import (
     algebra_from_json,
     algebra_to_json,
     check_axioms,
+    congruence_class,
     enumerate_mv_ideals,
     enumerate_prime_mv_ideals,
     ideal_congruent,
@@ -365,6 +370,14 @@ def test_ideal_congruence_definition():
     assert ideal_congruent(alg, 2, 2, frozenset({0}))
 
 
+def test_congruence_class_matches_pairwise_test():
+    alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
+    for ideal in enumerate_mv_ideals(alg):
+        for a in range(alg.n):
+            want = [b for b in range(alg.n) if ideal_congruent(alg, b, a, ideal)]
+            assert np.flatnonzero(congruence_class(alg, a, ideal)).tolist() == want
+
+
 # ---------------------------------------------------------------- json
 
 def test_json_roundtrip_tables():
@@ -404,3 +417,63 @@ def test_json_rejects_garbage():
         algebra_from_json({"kind": "lukasiewicz", "n": 0})
     with pytest.raises(AlgebraError):
         algebra_from_json({"kind": "product", "factors": [{"kind": "lukasiewicz", "n": 1}]})
+
+
+# JSON as parsed: null, bools, ints of any size, floats (NaN and infinities
+# included, as json.loads accepts them), strings, lists and objects
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 5) | st.integers()
+    | st.floats() | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+ENTRIES = st.integers(0, 4) | JSON_SCALARS
+
+
+@st.composite
+def table_descriptions(draw):
+    """Either loose tables of random shape or a lawful chain's tables with one
+    field or entry replaced by an arbitrary JSON value."""
+    if draw(st.booleans()):
+        data = {
+            "kind": "tables",
+            "neg": draw(st.lists(ENTRIES, max_size=5) | JSON_VALUES),
+            "oplus": draw(
+                st.lists(st.lists(ENTRIES, max_size=5), max_size=5) | JSON_VALUES
+            ),
+        }
+        for key in ("zero", "labels"):
+            if draw(st.booleans()):
+                data[key] = draw(JSON_VALUES)
+        return data
+    data = algebra_to_json(lukasiewicz_chain(draw(st.integers(1, 3))))
+    n = len(data["neg"])
+    spot = draw(st.sampled_from(["neg", "oplus", "oplus-row", "zero", "labels", "label"]))
+    value = draw(JSON_VALUES)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if spot == "neg":
+        data["neg"][i] = value
+    elif spot == "oplus":
+        data["oplus"][i][j] = value
+    elif spot == "oplus-row":
+        data["oplus"][i] = value
+    elif spot == "label":
+        data["labels"][i] = value
+    else:
+        data[spot] = value
+    return data
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(table_descriptions(), st.booleans())
+def test_fuzzed_tables_json_builds_or_raises_algebra_error(data, validate):
+    data = json.loads(json.dumps(data))  # exactly what a JSON file parses to
+    try:
+        alg = algebra_from_json(data, validate=validate)
+    except AlgebraError:
+        return
+    assert isinstance(alg, MvAlgebra)

@@ -92,6 +92,11 @@ def _germ_carves_less_than_fiber(s):
     s.mk = np.array([0, 0, 4, 4, 0])
 
 
+def _redirect_a_sum(s):
+    # 3 + 4 is 3; 2 is another point over 4, and the entry stays defined
+    s.plus[3, 4] = s.plus[4, 3] = 2
+
+
 CORRUPTIONS = [
     ("plus", "involution-laws", _swap_involution, ""),
     ("plus", "plus-commutative", _drop_plus_entry, ""),
@@ -100,6 +105,7 @@ CORRUPTIONS = [
     ("k", "k-fibers-cover-and-chain", _fiber_across_components, "not a chain"),
     ("sheaf-maximal", "germinal-ideals-carve-fibers", _germ_carves_less_than_fiber,
      "m.k fiber"),
+    ("plus", "plus-matches-ideal-sums", _redirect_a_sum, "differs from the ideal sum"),
 ]
 
 
