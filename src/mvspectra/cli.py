@@ -29,11 +29,11 @@ class UsageError(Exception):
 
 
 def _load_algebra(raw, validate=True):
-    """Inline JSON if the argument looks like an object, else a file path."""
+    """Inline JSON if the argument looks like an object or array, else a path."""
     if raw is None:
         raise UsageError("an algebra is required: pass --input")
     text = raw
-    if not raw.lstrip().startswith("{"):
+    if not raw.lstrip().startswith(("{", "[")):
         try:
             with open(raw, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -168,7 +168,7 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument(
             "--input",
-            help='algebra JSON, inline (starts with "{") or a file path',
+            help='algebra JSON, inline (starts with "{" or "[") or a file',
         )
         p.add_argument("--cap", type=int, default=10**6, help="size budget")
         p.add_argument("--chang-bound", type=int, default=32)

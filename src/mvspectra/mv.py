@@ -16,20 +16,6 @@ import numpy as np
 from .errors import AlgebraError, CapExceeded
 from .lattice import SCHEMA, FiniteDistLattice, _closed_set, _closure
 
-_LAW_ORDER = (
-    "involution",
-    "commutativity",
-    "associativity",
-    "zero-identity",
-    "one-absorption",
-    "characteristic",
-    "reduct-absorption",
-    "reduct-associativity",
-    "reduct-distributivity",
-    "reduct-bounds",
-)
-
-
 @dataclass(frozen=True)
 class AxiomViolation:
     """First failed law, with the lexicographically least witness tuple."""
@@ -128,13 +114,18 @@ class MvAlgebra:
 
 
 def check_axioms(alg):
-    """First violated law in the fixed order, or None.
+    """First violated law of Chang's six, in the fixed order, or None.
 
-    Witnesses are lexicographically least.  Cost is cubic in the carrier,
-    fine for anything this package builds directly.
+    Witnesses are lexicographically least.  Cost is cubic in the carrier
+    (the associativity scan).  Once the six laws hold, the derived join and
+    meet form a bounded distributive lattice with bottom zero and top one
+    (Cignoli-D'Ottaviano-Mundici, Algebraic Foundations of Many-valued
+    Reasoning, ch. 1), so the reduct is not scanned here.  The lattice
+    validator pins that theorem in tests/test_mv.py, over the family in
+    test_axioms_pass_on_family and over perturbed tables in
+    test_perturbed_tables_fail_a_law_or_have_a_lawful_reduct.
     """
-    n = alg.n
-    idx = np.arange(n)
+    idx = np.arange(alg.n)
     oplus, neg = alg.oplus, alg.neg
 
     def first(bad, law):
@@ -164,39 +155,7 @@ def check_axioms(alg):
     if v:
         return v
     lhs = oplus[neg[oplus[neg[:, None], idx[None, :]]], idx[None, :]]
-    v = first(lhs != lhs.T, "characteristic")
-    if v:
-        return v
-    join, meet = alg.join, alg.meet
-    v = first(join[idx[:, None], meet] != idx[:, None], "reduct-absorption")
-    if v:
-        return v
-    v = first(meet[idx[:, None], join] != idx[:, None], "reduct-absorption")
-    if v:
-        return v
-    v = _assoc_violation(alg, join, "reduct-associativity")
-    if v:
-        return v
-    v = _assoc_violation(alg, meet, "reduct-associativity")
-    if v:
-        return v
-    for a in range(n):
-        lhs = meet[a, join]
-        rhs = join[meet[a, :][:, None], meet[a, :][None, :]]
-        v = first(lhs != rhs, "reduct-distributivity")
-        if v:
-            return AxiomViolation(
-                law=v.law,
-                witness=(a,) + v.witness,
-                witness_labels=(alg.labels[a],) + v.witness_labels,
-            )
-    v = first(join[alg.zero, :] != idx, "reduct-bounds")
-    if v:
-        return v
-    v = first(meet[alg.one, :] != idx, "reduct-bounds")
-    if v:
-        return v
-    return None
+    return first(lhs != lhs.T, "characteristic")
 
 
 def _assoc_violation(alg, table, law):
@@ -414,10 +373,9 @@ def algebra_from_json(data, product_cap=4096, validate=True):
         raise AlgebraError(f"unsupported schema {data['schema']!r}")
     kind = data.get("kind")
     if kind == "lukasiewicz":
-        try:
-            n = int(data["n"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise AlgebraError('lukasiewicz needs an integer "n"') from None
+        n = data.get("n")
+        if type(n) is not int:  # exact type, as for table entries
+            raise AlgebraError('lukasiewicz needs an integer "n"')
         if n + 1 > product_cap:
             raise CapExceeded(f"chain carrier {n + 1} exceeds cap {product_cap}")
         return lukasiewicz_chain(n)

@@ -278,7 +278,9 @@ def crt_solve(alg, ideals, targets):
     """The unique element congruent to each target modulo its ideal.
 
     Needs MV ideals with zero intersection and pairwise-compatible targets;
-    compatibility is modulo the join of the two ideals.
+    compatibility is modulo the join of the two ideals.  A solution is
+    congruent to every target, so compatibility is only scanned, for the
+    message, when there is none or more than one.
     """
     if len(ideals) != len(targets) or not ideals:
         raise AlgebraError("need matching nonempty ideal and target lists")
@@ -287,6 +289,12 @@ def crt_solve(alg, ideals, targets):
             raise AlgebraError("remainder solving needs MV ideals")
     if frozenset.intersection(*(frozenset(i) for i in ideals)) != {alg.zero}:
         raise AlgebraError("the ideals do not intersect to zero")
+    solved = np.logical_and.reduce(
+        [congruence_class(alg, t, i) for i, t in zip(ideals, targets)]
+    )
+    found = np.flatnonzero(solved)
+    if len(found) == 1:
+        return int(found[0])
     for l in range(len(ideals)):
         for m in range(l + 1, len(ideals)):
             join = oplus_bar(alg, ideals[l], ideals[m])
@@ -294,13 +302,7 @@ def crt_solve(alg, ideals, targets):
                 raise AlgebraError(
                     f"targets {l} and {m} are incompatible modulo the join"
                 )
-    solved = np.logical_and.reduce(
-        [congruence_class(alg, t, i) for i, t in zip(ideals, targets)]
-    )
-    found = np.flatnonzero(solved)
-    if len(found) != 1:
-        raise AlgebraError(f"expected a unique solution, found {len(found)}")
-    return int(found[0])
+    raise AlgebraError(f"expected a unique solution, found {len(found)}")
 
 
 def crt_term(alg, units, targets, space=None):

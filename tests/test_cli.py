@@ -180,13 +180,16 @@ MALFORMED = [
     _l2_tables(oplus=[[0, 1.5, 2], [1, 2, 2], [2, 2, 2]]),
     _l2_tables(oplus=[[0, True, 2], [1, 2, 2], [2, 2, 2]]),
     '{"kind":"lukasiewicz","n":Infinity}',
+    '{"kind":"lukasiewicz","n":true}',
+    '{"kind":"lukasiewicz","n":1.5}',
+    '{"kind":"lukasiewicz","n":"4"}',
 ]
 
 
 @pytest.mark.parametrize(
     "raw", MALFORMED,
     ids=["zero-string", "oplus-null", "oplus-string", "labels-int", "oplus-float",
-         "oplus-bool", "n-infinity"],
+         "oplus-bool", "n-infinity", "n-bool", "n-float", "n-string"],
 )
 def test_malformed_json_is_usage_error(capsys, raw):
     assert run(["check", "--input", _l2_tables()]) == (0, "ok\n")
@@ -195,6 +198,13 @@ def test_malformed_json_is_usage_error(capsys, raw):
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert err.startswith("mvspectra: ") and "Traceback" not in err
+
+
+def test_inline_array_is_parsed_not_opened(capsys):
+    for raw in ("[]", "  [1, 2]"):
+        code, text = run(["check", "--input", raw])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "mvspectra: algebra JSON must be an object\n"
 
 
 def test_usage_errors_from_argparse():
