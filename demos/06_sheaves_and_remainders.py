@@ -2,9 +2,10 @@
 Sections, patching, and remainder solving
 =========================================
 
-Over the MV points the algebra decomposes into stalks, quotients by the
-point ideals; the algebra is recovered as the global sections of the
-resulting bundle.  Patching local data back together is a Chinese
+Over the MV points the algebra decomposes into stalks: the stalk over a
+point is the lattice quotient by the congruence of its fiber under k, which
+is the quotient by the point's ideal.  The algebra is recovered as the
+global sections of the resulting bundle.  Patching local data back together is a Chinese
 remainder problem, and on this base it is even solvable by a term.
 """
 
@@ -26,7 +27,7 @@ space = build_dual_space(alg)
 # The prime-base bundle has one stalk per MV point; here they are the two
 # chain factors themselves.
 inst = build_etale(space, BASE_PRIME)
-print("stalk sizes:", [st.quotient.algebra.n for st in inst.stalks])
+print("stalk sizes:", [st.size for st in inst.stalks])
 
 # eta sends an element to its tuple of stalk classes; the report certifies
 # it is injective, onto the locally representable sections, and a

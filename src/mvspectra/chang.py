@@ -307,9 +307,6 @@ class ChangSpace:
         self.y_points = (ChangIdeal(TRUNC, 0), self.radical)
         self.z_points = (self.radical,)
 
-    def is_point(self, p):
-        return isinstance(p, ChangIdeal) and p.family in (TRUNC, RADICAL, COFINITE)
-
     def point_leq(self, p, q):
         rank = {TRUNC: 0, RADICAL: 1, COFINITE: 2}
         rp, rq = rank[p.family], rank[q.family]

@@ -22,6 +22,9 @@ from .spectrum import build_dual_space
 from .verify import SUITE_NAMES, run_suite
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
+# the bounded scans of the symbolic chain grow with the cube of the bound:
+# about 424 MB of peak memory at 128
+CHANG_BOUND_MAX = 128
 
 
 class UsageError(Exception):
@@ -188,6 +191,13 @@ def main(argv=None, out=None):
     out = sys.stdout if out is None else out
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cap < 0:
+        parser.error(f"argument --cap: {args.cap} is not at least 0")
+    if not 0 <= args.chang_bound <= CHANG_BOUND_MAX:
+        parser.error(
+            f"argument --chang-bound: {args.chang_bound} is not in "
+            f"0..{CHANG_BOUND_MAX}"
+        )
     try:
         return args.fn(args, out)
     except UsageError as exc:

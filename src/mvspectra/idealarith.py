@@ -65,12 +65,6 @@ def ominus_bar_oracle(alg, f, i):
     return _closure(alg.leq.T, alg.meet, _pairwise(alg, alg.ominus, f, i))
 
 
-def contains_one(alg, i, j):
-    """Fast test for one in oplus_bar(i, j): some member negates into j."""
-    ii = list(i)
-    return any(int(alg.neg[a]) in j for a in ii)
-
-
 def adjunction_holds(alg, f, i, j):
     """f ominus_bar i misses j exactly when f misses j oplus_bar i."""
     left = ominus_bar(alg, f, i).isdisjoint(j)

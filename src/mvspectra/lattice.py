@@ -7,6 +7,11 @@ topological notion collapses to order: open downsets are just downsets,
 closed sets are upsets, and continuity of a map is checkable by finite
 preimage identities.  That translation is used throughout without further
 comment.
+
+congruence_of_subspace turns a subspace of the dual into the lattice
+congruence it induces; sheaf.py builds the stalks of both sheaf
+representations with it.  The tests hold it against a definitional
+congruence closure.
 """
 
 from __future__ import annotations
@@ -160,8 +165,8 @@ class FinitePoset:
 class FiniteDistLattice:
     """A finite bounded distributive lattice with explicit operation tables.
 
-    labels, when given, name the elements for display and JSON output; they
-    play no role in the algebra.
+    labels, when given, name the elements (lattice_from_downsets labels
+    each by its downset); they play no role in the algebra.
     """
 
     def __init__(self, leq, join, meet, labels=None, validate=True):
@@ -195,13 +200,6 @@ class FiniteDistLattice:
             for b in range(a, n):
                 join[a, b] = join[b, a] = _lub(leq, a, b)
                 meet[a, b] = meet[b, a] = _glb(leq, a, b)
-        return cls(leq, join, meet, labels=labels, validate=validate)
-
-    @classmethod
-    def from_join_meet(cls, join, meet, labels=None, validate=True):
-        join = np.array(join, dtype=np.int64)
-        n = join.shape[0]
-        leq = join == np.arange(n)[None, :]
         return cls(leq, join, meet, labels=labels, validate=validate)
 
     @classmethod
@@ -271,9 +269,6 @@ class FiniteDistLattice:
     def poset(self):
         return FinitePoset(self.leq, validate=False)
 
-    def to_dot(self):
-        return self.poset().to_dot(labels=[_label_str(x) for x in self.labels])
-
 
 def _lub(leq, a, b):
     ub = np.flatnonzero(leq[a, :] & leq[b, :])
@@ -293,12 +288,6 @@ def _glb(leq, a, b):
 
 def _mask(bits):
     return int(sum(1 << int(i) for i in np.flatnonzero(bits)))
-
-
-def _label_str(x):
-    if isinstance(x, frozenset):
-        return "{" + ",".join(str(v) for v in sorted(x)) + "}"
-    return str(x)
 
 
 # -- dual space ------------------------------------------------------------
@@ -478,93 +467,25 @@ def duality_roundtrip(lat):
     )
 
 
-# -- congruences and the closed-subspace correspondence ---------------------
+# -- the closed-subspace correspondence -------------------------------------
 
 
-def congruence_closure(lat, pairs):
-    """Smallest lattice congruence containing the given pairs, as a pair set."""
-    parent = list(range(lat.n))
+def congruence_of_subspace(member):
+    """Each element's class under the congruence no point of a subspace
+    separates, numbered by first occurrence.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    stack = [(int(a), int(b)) for a, b in pairs]
-    while stack:
-        a, b = stack.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[max(ra, rb)] = min(ra, rb)
-        for c in range(lat.n):
-            stack.append((int(lat.join[a, c]), int(lat.join[b, c])))
-            stack.append((int(lat.meet[a, c]), int(lat.meet[b, c])))
-    return frozenset(
-        (a, b) for a in range(lat.n) for b in range(lat.n) if find(a) == find(b)
+    member holds one boolean row per point of the subspace, member[x, a]
+    saying that a lies in the ideal of x, so two elements are related when
+    their columns agree.  This is the congruence half of the correspondence
+    between closed subspaces of the dual and lattice congruences; the sheaf
+    engine reads every stalk off it.
+    """
+    _, first, inverse = np.unique(
+        member.T, axis=0, return_index=True, return_inverse=True
     )
-
-
-def is_lattice_congruence(lat, theta):
-    theta = frozenset((int(a), int(b)) for a, b in theta)
-    n = lat.n
-    if any(not (0 <= a < n and 0 <= b < n) for a, b in theta):
-        return False
-    if any((a, a) not in theta for a in range(n)):
-        return False
-    if any((b, a) not in theta for a, b in theta):
-        return False
-    rep = {}
-    for a in range(n):
-        cls = frozenset(b for b in range(n) if (a, b) in theta)
-        rep[a] = cls
-    if any(rep[a] != rep[b] for a, b in theta):
-        return False
-    return all(
-        (int(lat.join[a, c]), int(lat.join[b, c])) in theta
-        and (int(lat.meet[a, c]), int(lat.meet[b, c])) in theta
-        for a, b in theta
-        for c in range(n)
-    )
-
-
-def closed_subspace_of_congruence(lat, theta, points=None):
-    """Points whose ideal cannot tell theta-related elements apart."""
-    if points is None:
-        points = enumerate_prime_ideals(lat)
-    return frozenset(
-        x
-        for x, p in enumerate(points)
-        if all((a in p.ideal) == (b in p.ideal) for a, b in theta)
-    )
-
-
-def congruence_of_subspace(lat, subspace, points=None):
-    """Pairs of elements no point of the subspace separates."""
-    if points is None:
-        points = enumerate_prime_ideals(lat)
-    sub = [points[x] for x in sorted(subspace)]
-    return frozenset(
-        (a, b)
-        for a in range(lat.n)
-        for b in range(lat.n)
-        if all((a in p.ideal) == (b in p.ideal) for p in sub)
-    )
-
-
-def is_normal(lat):
-    """Whenever d1 v d2 = top there are disjoint c1, c2 with c1 v d2 = c2 v d1 = top."""
-    n = lat.n
-    join_top = lat.join == lat.top
-    meet_bot = lat.meet == lat.bot
-    for d1 in range(n):
-        for d2 in np.flatnonzero(join_top[d1]).tolist():
-            c1s = np.flatnonzero(join_top[:, d2])
-            c2s = np.flatnonzero(join_top[:, d1])
-            if not meet_bot[np.ix_(c1s, c2s)].any():
-                return False
-    return True
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)]
 
 
 # -- poset isomorphism search (used by the Kaplansky comparison) ------------
@@ -651,35 +572,3 @@ def lattice_isomorphic(lat1, lat2, node_budget=200_000):
     p2 = FinitePoset(lat2.leq[np.ix_(lat2.join_irreducibles, lat2.join_irreducibles)])
     return poset_isomorphism(p1, p2, node_budget=node_budget) is not None
 
-
-# -- JSON ------------------------------------------------------------------
-
-
-def lattice_from_json(data):
-    """Accepts {"size", "leq"} pair lists or {"size", "join", "meet"} tables."""
-    if not isinstance(data, dict):
-        raise LatticeError("lattice JSON must be an object")
-    if "schema" in data and data["schema"] != SCHEMA:
-        raise LatticeError(f"unsupported schema {data['schema']!r}")
-    try:
-        n = int(data["size"])
-    except (KeyError, TypeError, ValueError):
-        raise LatticeError('lattice JSON needs an integer "size"') from None
-    if n <= 0:
-        raise LatticeError("size must be positive")
-    if "leq" in data:
-        return FiniteDistLattice.from_leq(FinitePoset.from_pairs(n, data["leq"]).leq)
-    if "join" in data and "meet" in data:
-        join = np.array(data["join"], dtype=np.int64)
-        meet = np.array(data["meet"], dtype=np.int64)
-        if join.shape != (n, n) or meet.shape != (n, n):
-            raise LatticeError("join/meet tables must be size x size")
-        if join.min() < 0 or join.max() >= n or meet.min() < 0 or meet.max() >= n:
-            raise LatticeError("table entries out of range")
-        return FiniteDistLattice.from_join_meet(join, meet)
-    raise LatticeError('lattice JSON needs either "leq" or both "join" and "meet"')
-
-
-def lattice_to_json(lat):
-    pairs = [[int(i), int(j)] for i, j in np.argwhere(lat.leq)]
-    return {"schema": SCHEMA, "size": lat.n, "leq": pairs}

@@ -233,25 +233,9 @@ def ideal_generated(alg, seed):
     return _closure(alg.leq, alg.oplus, inside)
 
 
-def ideal_generated_sums(alg, seed):
-    """Closed form: everything below a finite sum of generators.
-
-    Independent route kept for cross-checks against ideal_generated.
-    """
-    sums = {alg.zero} | {int(x) for x in seed}
-    while True:
-        nxt = sums | {int(alg.oplus[a, b]) for a in sums for b in sums}
-        if nxt == sums:
-            break
-        sums = nxt
-    out = set()
-    for s in sums:
-        out.update(np.flatnonzero(alg.leq[:, s]).tolist())
-    return frozenset(out)
-
-
 def is_prime_mv_ideal(alg, members):
-    """Proper MV-ideal containing a ominus b or b ominus a for every pair."""
+    """Proper MV-ideal containing a ominus b or b ominus a for every pair;
+    the slow oracle the tests hold the dual space's Y points against."""
     s = frozenset(int(x) for x in members)
     if not is_mv_ideal(alg, s) or len(s) == alg.n:
         return False
@@ -283,13 +267,6 @@ def enumerate_mv_ideals(alg):
         frozenset(np.flatnonzero(alg.leq[:, e]).tolist()) for e in alg.idempotents
     ]
     return sorted(out, key=lambda s: tuple(sorted(s)))
-
-
-def enumerate_prime_mv_ideals(alg):
-    from .lattice import enumerate_prime_ideals
-
-    pts = enumerate_prime_ideals(alg.lattice_reduct())
-    return [p.ideal for p in pts if is_mv_ideal(alg, p.ideal)]
 
 
 def maximal_mv_ideals(alg):
@@ -329,7 +306,8 @@ class Quotient:
 
 
 def quotient(alg, ideal):
-    """Quotient by the congruence of an MV-ideal, reps in carrier order."""
+    """Quotient by the congruence of an MV-ideal, reps in carrier order;
+    the oracle the tests hold the sheaf stalks against."""
     ideal = frozenset(int(x) for x in ideal)
     if not is_mv_ideal(alg, ideal):
         raise AlgebraError("quotient requires an MV-ideal")

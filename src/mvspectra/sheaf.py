@@ -1,12 +1,16 @@
-"""Etale decompositions over the prime and maximal MV points.
+"""Etale decompositions of the dual space and their sheaves of stalks.
 
-Both sheaf representations live here: the base is either Y (prime MV
-points, upset topology) or Z (maximal MV points, discrete), the bundle map
-q is k or m.k, and the stalk over a base point is the quotient of the
-algebra by that point's ideal (prime base) or by its germinal ideal
-(maximal base).  The patching checker, global-section enumeration, the
-section comparison map eta, congruence-style remainder solving, and the
-term-definable variant all operate on these instances.
+One engine serves both sheaf representations.  A decomposition q: X -> B
+of the dual space, with B ordered by base_leq, gives a sheaf of lattice
+quotients: the stalk over b is the reduct modulo the congruence of the
+subspace q^{-1}(b) (lattice.congruence_of_subspace), its zero class is the
+stalk's ideal, and the least neighborhood of b is its upset in B.  The
+prime base is (Y, k, the order on Y) and the maximal base (Z, m.k,
+discrete); _decomposition is the one place that names them.  eta_check
+confirms that negation and truncated addition descend to the stalks, and
+the tests hold each stalk against mv.quotient by its ideal.  The patching
+checker, global-section enumeration, congruence-style remainder solving
+and the term-definable variant complete the module.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlgebraError, CapExceeded
-from .lattice import SCHEMA
+from .lattice import SCHEMA, congruence_of_subspace
 from .idealarith import oplus_bar
-from .mv import congruence_class, ideal_congruent, is_mv_ideal, quotient
+from .mv import congruence_class, ideal_congruent, is_mv_ideal
 from .spectrum import MvDualSpace
 
 BASE_PRIME = "prime"
@@ -30,33 +34,32 @@ BASE_MAXIMAL = "maximal"
 class Stalk:
     point: int
     ideal: frozenset
-    quotient: object  # mv.Quotient
+    projection: np.ndarray  # class of each element, by first occurrence
+
+    @property
+    def size(self):
+        return int(self.projection.max()) + 1
 
 
+@dataclass(frozen=True)
 class EtaleInstance:
-    """A bundle over the chosen base with its stalks tabulated.
+    """A decomposition of the dual space with its stalks tabulated.
 
     base_points index into space.points; q maps every point of X to a
-    position in base_points; stalks align with base_points.
+    position in base_points; base_leq orders the positions; stalks align
+    with base_points.  base names the representation, if any.
     """
 
-    def __init__(self, space, base, base_points, q, stalks):
-        self.space = space
-        self.base = base
-        self.base_points = base_points
-        self.q = q
-        self.stalks = stalks
+    space: MvDualSpace
+    base: str | None
+    base_points: tuple
+    q: np.ndarray
+    base_leq: np.ndarray
+    stalks: tuple
 
     def base_upset(self, pos):
-        """Positions of base points above the given one: its least
-        neighborhood in the upset topology (discrete for the maximal base)."""
-        if self.base == BASE_MAXIMAL:
-            return [pos]
-        leq = self.space.order.leq
-        y = self.base_points[pos]
-        return [
-            p for p, other in enumerate(self.base_points) if leq[y, other]
-        ]
+        """Positions above the given one: its least neighborhood."""
+        return np.flatnonzero(self.base_leq[pos]).tolist()
 
 
 def germinal_ideal(space, z):
@@ -72,34 +75,48 @@ def germinal_ideal(space, z):
     return frozenset.intersection(*(space.points[y].ideal for y in below))
 
 
-def _bundle_map(space, base):
-    """Base points, their ideals and q: every point of X to its base position."""
+def decomposition_sheaf(space, q, base_points, base_leq, base=None):
+    """The sheaf of lattice quotients over a decomposition q: X -> B.
+
+    q maps every point of X to a position in base_points and base_leq
+    orders the positions.  The stalk over position b is the reduct modulo
+    the congruence of the points with q == b; a point over no position
+    belongs to no stalk.
+    """
+    q, base_leq = np.asarray(q), np.asarray(base_leq, dtype=bool)
+    zero = space.algebra.zero
+    stalks = []
+    for pos, pt in enumerate(base_points):
+        proj = congruence_of_subspace(space.member[q == pos])
+        ideal = frozenset(np.flatnonzero(proj == proj[zero]).tolist())
+        stalks.append(Stalk(point=pt, ideal=ideal, projection=proj))
+    return EtaleInstance(
+        space, base, tuple(base_points), q, base_leq, tuple(stalks)
+    )
+
+
+def _decomposition(space, base):
+    """q, the base points and their order for a named base: (Y, k, the
+    order on Y) or (Z, m.k, the discrete order).  This is the one place
+    that names a base."""
     if not isinstance(space, MvDualSpace):
         raise AlgebraError("etale instances need a finite dual space")
     if base == BASE_PRIME:
-        base_points = space.y_points
-        raw = space.k
-        ideals = [space.points[y].ideal for y in base_points]
+        base_points, raw = space.y_points, space.k
+        base_leq = space.order.leq[np.ix_(base_points, base_points)]
     elif base == BASE_MAXIMAL:
-        base_points = space.z_points
-        raw = space.mk
-        ideals = [germinal_ideal(space, z) for z in base_points]
+        base_points, raw = space.z_points, space.mk
+        base_leq = np.eye(len(base_points), dtype=bool)
     else:
         raise AlgebraError(f"unknown base {base!r}")
     position = {pt: pos for pos, pt in enumerate(base_points)}
     q = np.array([position[int(v)] for v in raw])
-    return tuple(base_points), ideals, q
+    return q, base_points, base_leq
 
 
 def build_etale(space, base):
     """The bundle over Y via k, or over Z via m.k, with tabulated stalks."""
-    base_points, ideals, q = _bundle_map(space, base)
-    alg = space.algebra
-    stalks = tuple(
-        Stalk(point=pt, ideal=ideals[pos], quotient=quotient(alg, ideals[pos]))
-        for pos, pt in enumerate(base_points)
-    )
-    return EtaleInstance(space, base, base_points, q, stalks)
+    return decomposition_sheaf(space, *_decomposition(space, base), base=base)
 
 
 # -- patching ---------------------------------------------------------------
@@ -116,37 +133,27 @@ class PatchResult:
 def check_property_p(space, base, cover, downsets):
     """Patch clopen downsets K_l along a base cover.
 
-    cover lists subsets of the base point set (upsets of Y for the prime
-    base, arbitrary subsets of Z for the maximal one) whose union is the
-    base; downsets lists subsets of X, each required to be some a-hat.  If
-    the compatibility K_l = K_m over q^{-1}(U_l & U_m) holds, the union of
-    the K_l & q^{-1}(U_l) is returned with the element realizing it as a
-    hat; otherwise the first violating pair and a witness point.
+    cover lists upsets of the base order (any subsets of the discrete Z)
+    whose union is the base; downsets lists subsets of X, each required to
+    be some a-hat.  If the compatibility K_l = K_m over q^{-1}(U_l & U_m)
+    holds, the union of the K_l & q^{-1}(U_l) is returned with the element
+    realizing it as a hat; otherwise the first violating pair and a witness
+    point.
     """
-    base_points, _, q = _bundle_map(space, base)
-    base_set = set(range(len(base_points)))
+    q, base_points, base_leq = _decomposition(space, base)
     point_pos = {pt: pos for pos, pt in enumerate(base_points)}
     if len(cover) != len(downsets):
         raise AlgebraError("cover and downset lists must align")
-    cover_pos = []
-    for u in cover:
-        pos = set()
+    inside = np.zeros((len(cover), len(base_points)), dtype=bool)
+    for row, u in zip(inside, cover):
         for pt in u:
             if pt not in point_pos:
                 raise AlgebraError(f"cover names {pt}, not a base point")
-            pos.add(point_pos[pt])
-        cover_pos.append(pos)
-    union_pos = set().union(*cover_pos) if cover_pos else set()
-    if union_pos != base_set:
+            row[point_pos[pt]] = True
+    if not inside.any(axis=0).all():
         raise AlgebraError("the given family does not cover the base")
-    if base == BASE_PRIME:
-        leq = space.order.leq
-        for u in cover_pos:
-            pts = [base_points[p] for p in u]
-            for y in pts:
-                for yp in base_points:
-                    if leq[y, yp] and point_pos[yp] not in u:
-                        raise AlgebraError("a cover set is not an upset")
+    if (inside[:, :, None] & ~inside[:, None, :] & base_leq).any():
+        raise AlgebraError("a cover set is not an upset")
     hats = space.hat_to_element
     k_sets = []
     for kl in downsets:
@@ -154,10 +161,9 @@ def check_property_p(space, base, cover, downsets):
         if fs not in hats:
             raise AlgebraError("a patch set is not of the form a-hat")
         k_sets.append(fs)
-    npts = len(space.points)
-    pre = [frozenset(x for x in range(npts) if int(q[x]) in u) for u in cover_pos]
-    for l in range(len(cover_pos)):
-        for m in range(len(cover_pos)):
+    pre = [frozenset(np.flatnonzero(row).tolist()) for row in inside[:, q]]
+    for l in range(len(cover)):
+        for m in range(len(cover)):
             overlap = pre[l] & pre[m]
             bad = (k_sets[l] ^ k_sets[m]) & overlap
             if bad:
@@ -165,7 +171,7 @@ def check_property_p(space, base, cover, downsets):
                     ok=False, violation=(l, m, min(bad))
                 )
     union = frozenset().union(
-        *(k_sets[l] & pre[l] for l in range(len(cover_pos)))
+        *(k_sets[l] & pre[l] for l in range(len(cover)))
     )
     if not space.order.is_downset(union):
         raise AlgebraError("patched set is not a downset")
@@ -178,9 +184,10 @@ def check_property_p(space, base, cover, downsets):
 # -- sections ----------------------------------------------------------------
 
 
-def section_of_element(inst, a):
-    """The tuple of stalk classes of a, one per base point."""
-    return tuple(int(st.quotient.projection[a]) for st in inst.stalks)
+def _images(inst):
+    """Each element's tuple of stalk classes, one entry per base point."""
+    proj = np.array([st.projection for st in inst.stalks])
+    return [tuple(img) for img in proj.T.tolist()]
 
 
 def global_sections(inst, cap=10**6):
@@ -189,38 +196,36 @@ def global_sections(inst, cap=10**6):
     An assignment qualifies if every base point has an algebra element
     whose stalk classes match on the point's least neighborhood.
     """
-    sizes = [st.quotient.algebra.n for st in inst.stalks]
+    sizes = [st.size for st in inst.stalks]
     total = 1
     for s in sizes:
         total *= s
         if total > cap:
             raise CapExceeded(f"stalk product exceeds {cap}")
-    alg = inst.space.algebra
-    images = [section_of_element(inst, a) for a in range(alg.n)]
+    images = _images(inst)
     hoods = [inst.base_upset(pos) for pos in range(len(inst.base_points))]
-    out = []
-    for cand in itertools.product(*(range(s) for s in sizes)):
-        good = True
-        for pos in range(len(inst.base_points)):
-            hood = hoods[pos]
-            if not any(
-                all(cand[p] == img[p] for p in hood) for img in images
-            ):
-                good = False
-                break
-        if good:
-            out.append(cand)
-    return out
+    local = [{tuple(img[p] for p in hood) for img in images} for hood in hoods]
+    return [
+        cand
+        for cand in itertools.product(*(range(s) for s in sizes))
+        if all(
+            tuple(cand[p] for p in hood) in seen
+            for hood, seen in zip(hoods, local)
+        )
+    ]
 
 
 def eta_check(inst, cap=10**6):
     """Compare a |-> (classes of a) against the global sections.
 
     Returns the JSON-ready report; isomorphism means injective, surjective
-    onto the sections, and operation-preserving.
+    onto the sections, and operation-preserving.  The last test reads each
+    stalk's negation and addition off its class representatives (the first
+    element of each class), which is where the MV operations descend to the
+    lattice stalks.
     """
     alg = inst.space.algebra
-    images = [section_of_element(inst, a) for a in range(alg.n)]
+    images = _images(inst)
     report = {
         "schema": SCHEMA,
         "base": inst.base,
@@ -228,7 +233,7 @@ def eta_check(inst, cap=10**6):
             {
                 "point": int(st.point),
                 "ideal": sorted(st.ideal),
-                "size": st.quotient.algebra.n,
+                "size": st.size,
             }
             for st in inst.stalks
         ],
@@ -251,21 +256,22 @@ def eta_check(inst, cap=10**6):
     if len(sections) != alg.n:
         report["witness"] = {"missing": alg.n - len(sections)}
         return report
-    for a in range(alg.n):
-        if images[alg.neg[a]] != tuple(
-            int(st.quotient.algebra.neg[images[a][p]])
-            for p, st in enumerate(inst.stalks)
-        ):
+    neg_bad = np.zeros(alg.n, dtype=bool)
+    oplus_bad = np.zeros((alg.n, alg.n), dtype=bool)
+    for st in inst.stalks:
+        proj = st.projection
+        rep = np.unique(proj, return_index=True)[1][proj]
+        neg_bad |= proj[alg.neg] != proj[alg.neg[rep]]
+        oplus_bad |= proj[alg.oplus] != proj[alg.oplus[np.ix_(rep, rep)]]
+    bad = neg_bad | oplus_bad.any(axis=1)
+    if bad.any():
+        a = int(np.argmax(bad))
+        if neg_bad[a]:
             report["witness"] = {"neg-breaks-at": a}
-            return report
-        for b in range(alg.n):
-            want = tuple(
-                int(st.quotient.algebra.oplus[images[a][p], images[b][p]])
-                for p, st in enumerate(inst.stalks)
-            )
-            if images[alg.oplus[a, b]] != want:
-                report["witness"] = {"oplus-breaks-at": [a, b]}
-                return report
+        else:
+            b = int(np.argmax(oplus_bad[a]))
+            report["witness"] = {"oplus-breaks-at": [a, b]}
+        return report
     report["isomorphism"] = True
     report["witness"] = {"injective": True, "surjective": True, "hom": True}
     return report

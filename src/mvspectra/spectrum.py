@@ -284,12 +284,6 @@ class WQuotient:
     classes: tuple
     z_of_class: tuple
 
-    def class_of(self, x):
-        for idx, block in enumerate(self.classes):
-            if x in block:
-                return idx
-        raise AlgebraError("point outside every class")
-
 
 def w_relation(space):
     """One-step zig-zag matrix: x1 W x2 when some x1' <= x1 and x2' <= x2

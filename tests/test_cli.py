@@ -214,3 +214,18 @@ def test_usage_errors_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"], out=io.StringIO())
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [["--chang-bound", "-5"], ["--chang-bound", "-1"],
+              ["--chang-bound", "129"], ["--cap", "-1"]],
+    ids=["bound-minus-5", "bound-minus-1", "bound-above-ceiling", "cap-negative"],
+)
+def test_bound_and_cap_rejected_before_any_scan(capsys, flags):
+    for command in ("check", "spectrum", "verify"):
+        buf = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", CHANG, *flags], out=buf)
+        assert exc.value.code == 2 and buf.getvalue() == ""
+        err = capsys.readouterr().err
+        assert "is not" in err and "Traceback" not in err

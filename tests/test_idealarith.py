@@ -8,7 +8,6 @@ import pytest
 from mvspectra.errors import AlgebraError
 from mvspectra.idealarith import (
     adjunction_holds,
-    contains_one,
     is_lattice_filter,
     is_lattice_ideal,
     ominus_bar,
@@ -111,16 +110,6 @@ def test_lifted_adjunction_sampled_larger(small_family):
             i = ideals[int(rng.integers(alg.n))]
             j = ideals[int(rng.integers(alg.n))]
             assert adjunction_holds(alg, f, i, j), name
-
-
-def test_contains_one_two_routes(small_family):
-    for name, alg in small_family.items():
-        ideals = principal_ideals(alg)
-        for i in ideals:
-            for j in ideals:
-                assert contains_one(alg, i, j) == (
-                    alg.one in oplus_bar(alg, i, j)
-                ), name
 
 
 def test_sum_closure_characterizes_mv_ideals(small_family):

@@ -1,7 +1,7 @@
-"""Order-theory core: duality, congruences, normality.
+"""Order-theory core: duality, the subspace-congruence correspondence.
 
 Oracles here are definitional: prime ideals by scanning every downset,
-congruences by checking the closure conditions directly.
+congruences by growing a pair set until the closure conditions hold.
 """
 
 from __future__ import annotations
@@ -15,19 +15,13 @@ from mvspectra.errors import LatticeError, NotDistributiveError, PosetError
 from mvspectra.lattice import (
     FiniteDistLattice,
     FinitePoset,
-    closed_subspace_of_congruence,
-    congruence_closure,
     congruence_of_subspace,
     dual_order,
     duality_roundtrip,
     enumerate_prime_ideals,
-    is_lattice_congruence,
-    is_normal,
     is_prime_ideal,
     lattice_from_downsets,
-    lattice_from_json,
     lattice_isomorphic,
-    lattice_to_json,
     poset_isomorphism,
     prime_ideals_bruteforce,
     stone_map,
@@ -65,12 +59,6 @@ def m3():
         ]
     )
     return FiniteDistLattice(leq, join, meet, validate=False)
-
-
-def kite():
-    # one atom below two coatoms; distributive but not normal
-    p = FinitePoset.from_pairs(3, [(0, 1), (0, 2)])
-    return lattice_from_downsets(p)
 
 
 def random_poset(rng, n):
@@ -270,17 +258,42 @@ def congruence_oracle(lat, pairs):
     return frozenset(theta)
 
 
+def membership(lat, pts):
+    """member[x, a]: element a lies in the ideal of point x."""
+    return np.array([[a in p.ideal for a in range(lat.n)] for p in pts])
+
+
+def subspace_congruence(member, sub):
+    """The pair set of congruence_of_subspace on the points in sub."""
+    cls = congruence_of_subspace(member[sorted(sub)])
+    n = len(cls)
+    return frozenset(
+        (a, b) for a in range(n) for b in range(n) if cls[a] == cls[b]
+    )
+
+
+def closed_subspace(pts, theta):
+    """Points whose ideal cannot tell theta-related elements apart."""
+    return frozenset(
+        x
+        for x, p in enumerate(pts)
+        if all((a in p.ideal) == (b in p.ideal) for a, b in theta)
+    )
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_congruence_closure_matches_oracle(seed):
+    # the Galois route: the congruence generated by some pairs is the one
+    # induced by the points that separate none of them
     rng = random.Random(seed)
     lat = lattice_from_downsets(random_poset(rng, 4))
+    pts = enumerate_prime_ideals(lat)
     pairs = [
         (rng.randrange(lat.n), rng.randrange(lat.n))
         for _ in range(rng.randint(1, 3))
     ]
-    theta = congruence_closure(lat, pairs)
+    theta = subspace_congruence(membership(lat, pts), closed_subspace(pts, pairs))
     assert theta == congruence_oracle(lat, pairs)
-    assert is_lattice_congruence(lat, theta)
 
 
 def test_galois_connection_laws():
@@ -288,40 +301,42 @@ def test_galois_connection_laws():
     for _ in range(8):
         lat = lattice_from_downsets(random_poset(rng, 4))
         pts = enumerate_prime_ideals(lat)
+        member = membership(lat, pts)
         # congruences are exactly the Galois-closed relations
-        pairs = [(rng.randrange(lat.n), rng.randrange(lat.n)) for _ in range(2)]
-        theta = congruence_closure(lat, pairs)
-        s = closed_subspace_of_congruence(lat, theta, pts)
-        assert congruence_of_subspace(lat, s, pts) == theta
+        theta = congruence_oracle(
+            lat, [(rng.randrange(lat.n), rng.randrange(lat.n)) for _ in range(2)]
+        )
+        assert subspace_congruence(member, closed_subspace(pts, theta)) == theta
         # arbitrary reflexive-symmetric relations need not be closed,
         # but subspaces always are
         for _ in range(4):
             sub = frozenset(
                 x for x in range(len(pts)) if rng.random() < 0.5
             )
-            theta_s = congruence_of_subspace(lat, sub, pts)
-            assert is_lattice_congruence(lat, theta_s)
-            s2 = closed_subspace_of_congruence(lat, theta_s, pts)
+            theta_s = subspace_congruence(member, sub)
+            assert congruence_oracle(lat, theta_s) == theta_s
+            s2 = closed_subspace(pts, theta_s)
             assert sub <= s2
-            assert congruence_of_subspace(lat, s2, pts) == theta_s
+            assert subspace_congruence(member, s2) == theta_s
+
+
+def test_subspace_classes_are_numbered_by_first_occurrence():
+    lat = FiniteDistLattice.chain(4)
+    pts = enumerate_prime_ideals(lat)  # ideals {0}, {0, 1}, {0, 1, 2}
+    member = membership(lat, pts)
+    assert congruence_of_subspace(member[[1]]).tolist() == [0, 0, 1, 1]
+    assert congruence_of_subspace(member).tolist() == [0, 1, 2, 3]
+    assert congruence_of_subspace(member[[]]).tolist() == [0, 0, 0, 0]
 
 
 def test_non_congruence_is_not_galois_closed():
     lat = FiniteDistLattice.chain(4)
+    pts = enumerate_prime_ideals(lat)
     # relating the ends of a chain without the middle is not a congruence
     theta = frozenset({(a, a) for a in range(4)} | {(0, 3), (3, 0)})
-    assert not is_lattice_congruence(lat, theta)
-    s = closed_subspace_of_congruence(lat, theta)
-    assert congruence_of_subspace(lat, s) != theta
-
-
-# -- normality -----------------------------------------------------------------
-
-
-def test_normality():
-    assert is_normal(FiniteDistLattice.chain(5))
-    assert is_normal(boolean_2x2())
-    assert not is_normal(kite())
+    assert congruence_oracle(lat, theta) != theta
+    s = closed_subspace(pts, theta)
+    assert subspace_congruence(membership(lat, pts), s) != theta
 
 
 # -- isomorphism search ----------------------------------------------------------
@@ -350,22 +365,3 @@ def test_lattice_isomorphic_on_relabelled_lattice():
     assert lattice_isomorphic(lat, relabelled)
     assert not lattice_isomorphic(lat, FiniteDistLattice.chain(lat.n))
 
-
-# -- JSON -------------------------------------------------------------------------
-
-
-def test_json_roundtrip():
-    lat = boolean_2x2()
-    data = lattice_to_json(lat)
-    assert data["schema"] == "mv-spectra/1"
-    again = lattice_from_json(data)
-    assert (again.leq == lat.leq).all()
-
-
-def test_json_rejects_bad_input():
-    with pytest.raises(LatticeError):
-        lattice_from_json({"leq": []})
-    with pytest.raises(LatticeError):
-        lattice_from_json({"size": 2, "join": [[0]], "meet": [[0]]})
-    with pytest.raises(LatticeError):
-        lattice_from_json({"size": 0, "leq": []})

@@ -11,7 +11,7 @@ import pytest
 from mvspectra import sheaf as sh
 from mvspectra import spectrum as sp
 from mvspectra.errors import CapExceeded, Error
-from mvspectra.mv import ideal_congruent, lukasiewicz_chain, product
+from mvspectra.mv import ideal_congruent, lukasiewicz_chain, product, quotient
 from mvspectra.verify import run_suite
 
 
@@ -35,12 +35,33 @@ KERN_SECOND = frozenset({0, 4, 8})    # 3-chain x {0}, quotient is the 4-chain
 
 def test_prime_bundle_stalks_are_the_factors(prod_space):
     inst = sh.build_etale(prod_space, sh.BASE_PRIME)
-    sizes = sorted(st.quotient.algebra.n for st in inst.stalks)
+    sizes = sorted(st.size for st in inst.stalks)
     assert sizes == [3, 4]
     for st in inst.stalks:
-        leq = st.quotient.algebra.leq
+        leq = quotient(prod_space.algebra, st.ideal).algebra.leq
         assert (leq | leq.T).all()
     assert set(inst.q.tolist()) == set(range(len(inst.base_points)))
+
+
+def test_stalks_are_the_mv_quotients(family):
+    # the lattice congruence of each fiber is the MV congruence of the
+    # stalk's ideal, whose zero class is the point or germinal ideal
+    shapes = dict(family)
+    shapes["L5xL2xL1"] = product(
+        product(lukasiewicz_chain(5), lukasiewicz_chain(2)), lukasiewicz_chain(1)
+    )
+    for label, alg in shapes.items():
+        space = sp.MvDualSpace(alg)
+        for base in (sh.BASE_PRIME, sh.BASE_MAXIMAL):
+            for st in sh.build_etale(space, base).stalks:
+                want = (
+                    space.points[st.point].ideal
+                    if base == sh.BASE_PRIME
+                    else sh.germinal_ideal(space, st.point)
+                )
+                assert st.ideal == want, (label, base, st.point)
+                proj = quotient(alg, st.ideal).projection
+                assert tuple(st.projection.tolist()) == proj, (label, base)
 
 
 def test_maximal_bundle_matches_prime_here(prod_space):
@@ -68,6 +89,29 @@ def test_base_neighborhoods(prod_space):
     # Y is an antichain here, so each least neighborhood is a singleton
     for pos in range(len(prime.base_points)):
         assert prime.base_upset(pos) == [pos]
+
+
+@pytest.mark.parametrize("factors", [(2, 3), (3,), (1, 2)])
+def test_identity_decomposition_has_one_section_per_element(factors):
+    # q = identity over X with its own order: a base that is no antichain
+    alg = lukasiewicz_chain(factors[0])
+    for n in factors[1:]:
+        alg = product(alg, lukasiewicz_chain(n))
+    space = sp.build_dual_space(alg)
+    npts = len(space.points)
+    leq = space.order.leq
+    inst = sh.decomposition_sheaf(space, np.arange(npts), range(npts), leq)
+    assert not (leq == np.eye(npts, dtype=bool)).all()
+    # each stalk splits the carrier into one point's ideal and filter, and
+    # a neighborhood is the point's upset, so the local condition prunes
+    assert [st.size for st in inst.stalks] == [2] * npts
+    assert 2 ** npts > alg.n
+    assert len(sh.global_sections(inst)) == alg.n
+    # the reduct is recovered, but a point ideal off Y is no MV ideal, so
+    # negation does not descend to its stalk and the hom test says so
+    rep = sh.eta_check(inst)
+    assert rep["sections"] == alg.n and not rep["isomorphism"]
+    assert "neg-breaks-at" in rep["witness"]
 
 
 # -- property (P) -----------------------------------------------------------------
@@ -169,12 +213,8 @@ def test_eta_reports(prod_space):
 def test_eta_detects_truncated_bundle(prod_space):
     # dropping one base point collapses elements that differ only there
     full = sh.build_etale(prod_space, sh.BASE_MAXIMAL)
-    truncated = sh.EtaleInstance(
-        prod_space,
-        sh.BASE_MAXIMAL,
-        full.base_points[:1],
-        np.zeros(len(prod_space.points), dtype=int),
-        full.stalks[:1],
+    truncated = sh.decomposition_sheaf(
+        prod_space, full.q, full.base_points[:1], full.base_leq[:1, :1]
     )
     rep = sh.eta_check(truncated)
     assert rep["isomorphism"] is False
