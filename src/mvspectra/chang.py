@@ -81,12 +81,6 @@ class ChangAlgebra:
     def meet(self, u, v):
         return u if self.leq(u, v) else v
 
-    def nmul(self, m, u):
-        acc = self.zero
-        for _ in range(m):
-            acc = self.oplus(acc, u)
-        return acc
-
     def elements(self, bound):
         """The window fin(0..bound), cofin(bound..0), in chain order."""
         return [fin(k) for k in range(bound + 1)] + [

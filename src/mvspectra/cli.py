@@ -191,8 +191,9 @@ def main(argv=None, out=None):
     out = sys.stdout if out is None else out
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cap < 0:
-        parser.error(f"argument --cap: {args.cap} is not at least 0")
+    for flag, value in (("--cap", args.cap), ("--seed", args.seed)):
+        if value < 0:
+            parser.error(f"argument {flag}: {value} is not at least 0")
     if not 0 <= args.chang_bound <= CHANG_BOUND_MAX:
         parser.error(
             f"argument --chang-bound: {args.chang_bound} is not in "

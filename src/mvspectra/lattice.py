@@ -33,10 +33,9 @@ SCHEMA = "mv-spectra/1"
 
 
 def _bool_mm(a, b):
-    # boolean matrix product; route through BLAS above the small-case cutoff
-    if a.shape[0] > 128:
-        return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
+    # boolean matrix product through float32 BLAS: each entry counts the
+    # witnesses, exactly while the inner dimension stays below 2**24
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
 
 
 def transitive_closure(rel):
@@ -223,17 +222,11 @@ class FiniteDistLattice:
     def validate_distributive(self):
         """Raise NotDistributiveError (with a witness triple) when it fails.
 
-        Small lattices get the cubic scan.  Larger ones get the structural
-        test: a is determined by the join-irreducibles below it and those
-        element sets exhaust the downsets of the join-irreducible subposet
-        exactly in the distributive case.  The cubic scan is then only
-        needed to extract a witness, and only runs on actual failures.
+        The test is structural: a is determined by the join-irreducibles
+        below it and those element sets exhaust the downsets of the
+        join-irreducible subposet exactly in the distributive case.  The
+        cubic scan runs only on failure, to name the witness.
         """
-        if self.n <= 64:
-            w = self._distributivity_witness()
-            if w is not None:
-                raise NotDistributiveError(w)
-            return
         ji = self.join_irreducibles
         masks = [_mask(self.leq[:, a][ji]) for a in range(self.n)]
         sub = FinitePoset(self.leq[np.ix_(ji, ji)])

@@ -96,13 +96,6 @@ class MvAlgebra:
     def leq(self):
         return self.join == np.arange(self.n)[None, :]
 
-    def nmul(self, m, a):
-        """m-fold truncated sum of a."""
-        acc = self.zero
-        for _ in range(m):
-            acc = int(self.oplus[acc, a])
-        return acc
-
     def lattice_reduct(self):
         return FiniteDistLattice(
             self.leq, self.join, self.meet, labels=self.labels, validate=False
@@ -188,24 +181,19 @@ def lukasiewicz_chain(n):
 
 
 def product(a, b, cap=4096):
-    """Componentwise product; labels are pairs of factor labels."""
+    """Componentwise product; element (i, j) is i * b.n + j, labelled by
+    the pair of factor labels."""
     n = a.n * b.n
     if n > cap:
         raise CapExceeded(f"product carrier {n} exceeds cap {cap}")
-    pairs = [(i, j) for i in range(a.n) for j in range(b.n)]
-    index = {p: k for k, p in enumerate(pairs)}
-    neg = np.array([index[(int(a.neg[i]), int(b.neg[j]))] for i, j in pairs])
-    oplus = np.array(
-        [
-            [
-                index[(int(a.oplus[i1, i2]), int(b.oplus[j1, j2]))]
-                for (i2, j2) in pairs
-            ]
-            for (i1, j1) in pairs
-        ]
+    i, j = np.divmod(np.arange(n), b.n)
+    oplus = a.oplus[np.ix_(i, i)] * b.n
+    oplus += b.oplus[np.ix_(j, j)]
+    labels = tuple(f"({x},{y})" for x in a.labels for y in b.labels)
+    return MvAlgebra(
+        a.neg[i] * b.n + b.neg[j], oplus, zero=a.zero * b.n + b.zero,
+        labels=labels, validate=False,
     )
-    labels = tuple(f"({a.labels[i]},{b.labels[j]})" for i, j in pairs)
-    return MvAlgebra(neg, oplus, zero=index[(a.zero, b.zero)], labels=labels, validate=False)
 
 
 def from_tables(neg, oplus, zero=0, labels=None, validate=True):

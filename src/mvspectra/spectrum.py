@@ -8,10 +8,13 @@ through the finite-scale convention documented in lattice.py: opens of the
 downset topology are downsets, and continuity claims become set identities
 over the basic family {a-hat}.
 
-Z comes from the maximal idempotents below one (mv.maximal_mv_ideals), so
-the build runs no closure fixpoint.  mv.is_maximal_mv_ideal and
-mv.ideal_generated are the slow oracles, called only by the tests and by
-verify's ideal-join-coincidence check.
+Every prime ideal of the finite reduct is principal, I_x = down g_x, so the
+build is table arithmetic on the generators: + and the involution are
+lookups, Y is the diagonal of + (g_x idempotent), k(x) is the point of the
+largest idempotent e with g_x + e = g_x, m is a slice of the order, and Z
+comes from the maximal idempotents below one.  The MV-ideal test of mv,
+mv.is_maximal_mv_ideal, mv.ideal_generated and the k_via_* routes are
+oracles for the tests and verify.
 
 Construction computes and does not check: MvDualSpace raises AlgebraError
 only where a table entry cannot be produced at all.  verify owns the laws,
@@ -37,7 +40,7 @@ from .lattice import (
     enumerate_prime_ideals,
     lattice_isomorphic,
 )
-from .mv import enumerate_mv_ideals, is_mv_ideal, maximal_mv_ideals
+from .mv import enumerate_mv_ideals, maximal_mv_ideals
 
 
 class MvDualSpace:
@@ -58,84 +61,66 @@ class MvDualSpace:
         self.lattice = alg.lattice_reduct()
         self.points = tuple(enumerate_prime_ideals(self.lattice))
         self.order = dual_order(self.points)
-        npts = len(self.points)
-        n = alg.n
+        npts, n = len(self.points), alg.n
         member = np.zeros((npts, n), dtype=bool)
         for idx, pt in enumerate(self.points):
             member[idx, sorted(pt.ideal)] = True
         self.member = member
-        self._index = {pt.ideal: i for i, pt in enumerate(self.points)}
 
-        # every lattice ideal of a finite lattice is principal; record the
-        # generator of each point, which makes + a table lookup
-        leq = self.lattice.leq
-        gens = np.empty(npts, dtype=np.int64)
-        for idx in range(npts):
-            inside = np.flatnonzero(member[idx])
-            tops = inside[leq[np.ix_(inside, inside)].all(axis=0)]
-            if tops.shape[0] != 1:
-                raise AlgebraError("prime ideal is not principal")
-            gens[idx] = tops[0]
+        # every lattice ideal of a finite lattice is principal: its generator
+        # is the member with the most elements below it
+        leq = alg.leq
+        self._down_count = leq.sum(axis=0)
+        gens = self._top_members(member)
+        if not (leq[:, gens].T == member).all():
+            raise AlgebraError("prime ideal is not principal")
         self.generators = gens
-        elem_point = np.full(n, -1, dtype=np.int64)
-        elem_point[gens] = np.arange(npts)
+        self._point_of = np.full(n, -1, dtype=np.int64)
+        self._point_of[gens] = np.arange(npts)
 
-        self.involution = self._build_involution()
+        # b lies in the ideal of i(x) exactly when neg(b) escapes I_x
+        self.involution = self._points_of(
+            ~member[:, alg.neg], "negated complement filter"
+        )
         # x + y is the point generated by the sum of the generators, and is
         # undefined where that sum reaches one
         gen_sum = alg.oplus[gens[:, None], gens[None, :]]
-        self.plus = np.where(gen_sum != alg.one, elem_point[gen_sum], -1)
-        self.y_points = tuple(
-            i for i, pt in enumerate(self.points) if is_mv_ideal(alg, pt.ideal)
-        )
+        self.plus = np.where(gen_sum != alg.one, self._point_of[gen_sum], -1)
+        # I_x is an MV-ideal exactly when its generator is idempotent
+        diagonal = self.plus.diagonal()
+        self.y_points = tuple(np.flatnonzero(diagonal == np.arange(npts)).tolist())
         self.y_set = frozenset(self.y_points)
         maximal = frozenset(maximal_mv_ideals(alg))
         self.z_points = tuple(
             i for i in self.y_points if self.points[i].ideal in maximal
         )
         self.z_set = frozenset(self.z_points)
-        self.k = self._build_k()
-        self.m = self._build_m()
+        # k(x) is the largest MV-ideal J with I_x +bar J inside I_x: the
+        # downset of the largest idempotent e with g_x + e = g_x
+        idem = alg.oplus.diagonal() == np.arange(n)
+        e = self._top_members((alg.oplus[gens] == gens[:, None]) & idem)
+        self.k = self._points_of(leq[:, e].T, "k formula ideal")
+        above = self.order.leq[np.ix_(self.y_points, self.z_points)]
+        counts = above.sum(axis=1)
+        if (counts != 1).any():
+            i = int(np.flatnonzero(counts != 1)[0])
+            raise AlgebraError(
+                f"point {self.y_points[i]} lies under {counts[i]} maximal MV points"
+            )
+        z_of = np.array(self.z_points, dtype=np.int64)[above.nonzero()[1]]
+        self.m = dict(zip(self.y_points, z_of.tolist()))
 
-    # -- builders ------------------------------------------------------------
+    def _top_members(self, rows):
+        """Per boolean row, the member with the most elements below it."""
+        return np.where(rows, self._down_count, -1).argmax(axis=-1)
 
-    def _build_involution(self):
-        alg, npts = self.algebra, len(self.points)
-        inv = np.empty(npts, dtype=np.int64)
-        for idx in range(npts):
-            # b lies in the ideal of i(x) exactly when neg(b) escapes I_x
-            ideal = frozenset(np.flatnonzero(~self.member[idx, alg.neg]).tolist())
-            j = self._index.get(ideal)
-            if j is None:
-                raise AlgebraError("negated complement filter is not a point")
-            inv[idx] = j
-        return inv
-
-    def _build_k(self):
-        alg, npts = self.algebra, len(self.points)
-        k = np.empty(npts, dtype=np.int64)
-        for idx in range(npts):
-            mem = self.member[idx]
-            # a survives when no c escapes the ideal while c - a falls in it
-            bad = mem[alg.ominus] & ~mem[:, None]
-            ideal = frozenset(np.flatnonzero(~bad.any(axis=0)).tolist())
-            j = self._index.get(ideal)
-            if j is None:
-                raise AlgebraError("k formula ideal is not a point")
-            k[idx] = j
-        return k
-
-    def _build_m(self):
-        leq = self.order.leq
-        m = {}
-        for y in self.y_points:
-            above = [z for z in self.z_points if leq[y, z]]
-            if len(above) != 1:
-                raise AlgebraError(
-                    f"point {y} lies under {len(above)} maximal MV points"
-                )
-            m[y] = above[0]
-        return m
+    def _points_of(self, rows, what):
+        """The point whose ideal is each boolean membership row: the one
+        generated by the row's top member, if its ideal is that row."""
+        out = self._point_of[self._top_members(rows)]
+        if (out < 0).any() or (self.member[out] != rows).any():
+            raise AlgebraError(f"{what} is not a point")
+        return out
 
     # -- derived views -------------------------------------------------------
 
@@ -256,8 +241,9 @@ def k_via_ideal_scan(space, x):
     best = max(good, key=len)
     if any(not j <= best for j in good):
         raise AlgebraError("addable ideals have no largest member")
-    out = space._index.get(best)
-    if out is None or out not in space.y_set:
+    inside = np.isin(range(alg.n), list(best))
+    out = int(space._points_of(inside, "largest addable ideal"))
+    if out not in space.y_set:
         raise AlgebraError("largest addable ideal is not an MV point")
     return out
 
@@ -267,11 +253,8 @@ def k_via_filter_difference(space, x):
     alg = space.algebra
     pt = space.points[x]
     upper = ominus_bar(alg, pt.filter, pt.ideal)
-    ideal = frozenset(range(alg.n)) - upper
-    out = space._index.get(ideal)
-    if out is None:
-        raise AlgebraError("filter-difference complement is not a point")
-    return out
+    outside = ~np.isin(range(alg.n), list(upper))
+    return int(space._points_of(outside, "filter-difference complement"))
 
 
 # -- the zig-zag quotient ----------------------------------------------------

@@ -21,7 +21,7 @@ from .chang import ChangAlgebra, ChangIdeal, ChangSpace, RADICAL, TRUNC
 from .chang import ideal_oplus_bar as chang_oplus_bar
 from .errors import CapExceeded, Error
 from .idealarith import oplus_bar, oplus_bar_oracle
-from .lattice import duality_roundtrip, transitive_closure
+from .lattice import _bool_mm, duality_roundtrip, transitive_closure
 from .mv import (
     check_axioms,
     congruence_class,
@@ -170,12 +170,11 @@ def _check_plus_continuity(ctx):
     member = s.member
     dom = s.plus >= 0
     safe = np.where(dom, s.plus, 0)
-    mint = member.astype(np.int64)
     for a in range(alg.n):
         lhs = dom & member[safe, a]
+        # some b in I_x and c in I_y with a <= b oplus c
         cond = alg.leq[a][alg.oplus]
-        reach = mint @ cond.astype(np.int64) @ mint.T
-        rhs = dom & (reach > 0)
+        rhs = dom & _bool_mm(member, _bool_mm(cond, member.T))
         if not (lhs == rhs).all():
             x, y = np.argwhere(lhs != rhs)[0]
             _fail(f"+ continuity identity fails for element {a} at ({x}, {y})")

@@ -92,12 +92,6 @@ def test_frozen_arithmetic():
     assert ALG.one == cofin(0)
 
 
-def test_nmul():
-    assert ALG.nmul(3, fin(2)) == fin(6)
-    assert ALG.nmul(0, cofin(1)) == fin(0)
-    assert ALG.nmul(2, cofin(5)) == cofin(0)
-
-
 def test_element_validation():
     with pytest.raises(AlgebraError):
         ChangElement("fin", -1)

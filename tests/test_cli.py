@@ -218,8 +218,9 @@ def test_usage_errors_from_argparse():
 
 @pytest.mark.parametrize(
     "flags", [["--chang-bound", "-5"], ["--chang-bound", "-1"],
-              ["--chang-bound", "129"], ["--cap", "-1"]],
-    ids=["bound-minus-5", "bound-minus-1", "bound-above-ceiling", "cap-negative"],
+              ["--chang-bound", "129"], ["--cap", "-1"], ["--seed", "-1"]],
+    ids=["bound-minus-5", "bound-minus-1", "bound-above-ceiling", "cap-negative",
+         "seed-negative"],
 )
 def test_bound_and_cap_rejected_before_any_scan(capsys, flags):
     for command in ("check", "spectrum", "verify"):

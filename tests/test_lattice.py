@@ -15,6 +15,7 @@ from mvspectra.errors import LatticeError, NotDistributiveError, PosetError
 from mvspectra.lattice import (
     FiniteDistLattice,
     FinitePoset,
+    _bool_mm,
     congruence_of_subspace,
     dual_order,
     duality_roundtrip,
@@ -142,15 +143,19 @@ def test_m3_not_distributive_with_witness():
 
 
 def test_structural_distributivity_check_matches_scan():
-    # force the structural path by rebuilding a large downset lattice
+    # downset lattices, large and small, pass the structural test and the
+    # cubic scan alike
     rng = random.Random(3)
-    p = random_poset(rng, 8)
-    big = lattice_from_downsets(p)
-    if big.n > 64:
-        big.validate_distributive()  # must not raise
-    # and the cubic scan agrees on a small slice
-    small = lattice_from_downsets(random_poset(rng, 4))
-    small.validate_distributive()
+    for size in (8, 4):
+        lat = lattice_from_downsets(random_poset(rng, size))
+        lat.validate_distributive()  # must not raise
+        assert lat._distributivity_witness() is None
+
+
+def test_bool_mm_counts_past_the_byte_range():
+    # 256 witnesses per entry: a uint8 product would wrap them to zero
+    ones = np.ones((2, 256), dtype=bool)
+    assert _bool_mm(ones, ones.T).all()
 
 
 # -- prime ideals, two routes ------------------------------------------------

@@ -129,14 +129,6 @@ def test_trivial_and_empty_rejected():
         MvAlgebra(neg=np.zeros(0, dtype=np.int64), oplus=np.zeros((0, 0), dtype=np.int64))
 
 
-def test_nmul():
-    alg = lukasiewicz_chain(5)
-    assert alg.nmul(0, 3) == 0
-    assert alg.nmul(1, 3) == 3
-    assert alg.nmul(2, 3) == 5
-    assert alg.nmul(7, 1) == 5
-
-
 # ---------------------------------------------------------------- axioms
 
 SIX_LAWS = {
@@ -251,19 +243,25 @@ def test_shape_and_range_validation():
 
 def test_product_is_componentwise():
     a = lukasiewicz_chain(2)
-    b = lukasiewicz_chain(3)
-    p = product(a, b)
-    assert p.n == 12
-    assert check_axioms(p) is None
-    for i in range(a.n):
-        for j in range(b.n):
-            for k in range(a.n):
-                for l in range(b.n):
-                    x = i * b.n + j
-                    y = k * b.n + l
-                    assert p.oplus[x, y] == a.oplus[i, k] * b.n + b.oplus[j, l]
-            assert p.neg[i * b.n + j] == a.neg[i] * b.n + b.neg[j]
-    assert p.labels[1 * b.n + 2] == "(1,2)"
+    c = lukasiewicz_chain(3)
+    # c renamed by e -> 3 - e, so its zero is the element 3
+    rev = np.arange(c.n)[::-1]
+    b = MvAlgebra(rev[c.neg[rev]], rev[c.oplus[np.ix_(rev, rev)]], zero=3, labels="wxyz")
+    for left, right in ((a, c), (a, b), (b, a)):
+        p = product(left, right)
+        assert p.n == left.n * right.n
+        assert check_axioms(p) is None
+        assert p.zero == left.zero * right.n + right.zero
+        for i in range(left.n):
+            for j in range(right.n):
+                x = i * right.n + j
+                for k in range(left.n):
+                    for l in range(right.n):
+                        y = k * right.n + l
+                        want = left.oplus[i, k] * right.n + right.oplus[j, l]
+                        assert p.oplus[x, y] == want
+                assert p.neg[x] == left.neg[i] * right.n + right.neg[j]
+                assert p.labels[x] == f"({left.labels[i]},{right.labels[j]})"
 
 
 def test_product_cap():

@@ -201,6 +201,56 @@ def test_kaplansky_budget_verdict():
     assert verdict == sp.VERDICT_BUDGET
 
 
+# -- chain products against their closed forms ---------------------------------
+
+
+def assert_closed_forms(lengths):
+    """L_{n1} x ... x L_{nk}: X is k disjoint chains of n_i points, one
+    fiber of k each; with t_x the number of points strictly below x, the
+    involution sends t to n_i - 1 - t and x + y sits at t_x + t_y when that
+    is at most n_i - 1 in a shared fiber, and is undefined otherwise."""
+    alg = lukasiewicz_chain(lengths[0])
+    for n in lengths[1:]:
+        alg = product(alg, lukasiewicz_chain(n))
+    space = sp.MvDualSpace(alg)
+    assert len(space.points) == sum(lengths)
+    assert len(space.y_points) == len(space.z_points) == len(lengths)
+    assert len(alg.idempotents) == 2 ** len(lengths)
+    t = space.order.leq.sum(axis=0) - 1
+    fiber_size = np.bincount(space.k)
+    assert sorted(fiber_size[list(space.y_points)]) == sorted(lengths)
+    sizes = fiber_size[space.k]
+    assert (space.k[space.involution] == space.k).all()
+    assert (t[space.involution] == sizes - 1 - t).all()
+    defined = (space.k[:, None] == space.k[None, :]) & (
+        t[:, None] + t[None, :] <= sizes[:, None] - 1
+    )
+    assert ((space.plus >= 0) == defined).all()
+    x, y = np.nonzero(defined)
+    assert (space.k[space.plus[x, y]] == space.k[x]).all()
+    assert (t[space.plus[x, y]] == t[x] + t[y]).all()
+
+
+@st.composite
+def chain_lengths(draw, carrier=300):
+    # each factor leaves room for the ones after it to be at least L_1
+    lengths, size = [], 1
+    for later in reversed(range(draw(st.integers(1, 6)))):
+        lengths.append(draw(st.integers(1, carrier // (size << later) - 1)))
+        size *= lengths[-1] + 1
+    return lengths
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(chain_lengths())
+def test_chain_products_match_closed_forms(lengths):
+    assert_closed_forms(lengths)
+
+
+def test_l31_squared_matches_closed_forms():
+    assert_closed_forms([31, 31])
+
+
 # -- error paths and serialization ------------------------------------------------
 
 
