@@ -61,16 +61,6 @@ class FinitePoset:
         if validate:
             self._validate()
 
-    @classmethod
-    def from_pairs(cls, n, pairs):
-        """Poset from generating pairs (i, j) meaning i <= j; closure is taken."""
-        rel = np.zeros((n, n), dtype=bool)
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise PosetError(f"pair ({i}, {j}) out of range for size {n}")
-            rel[i, j] = True
-        return cls(transitive_closure(rel))
-
     def _validate(self):
         leq, n = self.leq, self.n
         if not leq.diagonal().all():
@@ -186,20 +176,6 @@ class FiniteDistLattice:
             self._validate()
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_leq(cls, leq, labels=None, validate=True):
-        """Build tables from an order matrix; fails if some lub/glb is missing."""
-        poset = FinitePoset(leq)
-        leq = poset.leq
-        n = poset.n
-        join = np.zeros((n, n), dtype=np.int64)
-        meet = np.zeros((n, n), dtype=np.int64)
-        for a in range(n):
-            for b in range(a, n):
-                join[a, b] = join[b, a] = _lub(leq, a, b)
-                meet[a, b] = meet[b, a] = _glb(leq, a, b)
-        return cls(leq, join, meet, labels=labels, validate=validate)
 
     @classmethod
     def chain(cls, n):

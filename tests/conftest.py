@@ -1,10 +1,19 @@
-"""Shared finite algebra family: chains and their pairwise products."""
+"""Shared test support: the finite algebra family, relabelling, and
+lattices built from order data."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from mvspectra.mv import lukasiewicz_chain, product
+from mvspectra.lattice import (
+    FiniteDistLattice,
+    FinitePoset,
+    _glb,
+    _lub,
+    transitive_closure,
+)
+from mvspectra.mv import MvAlgebra, lukasiewicz_chain, product
 
 
 def build_family(max_carrier):
@@ -31,3 +40,38 @@ def family():
 def small_family():
     """For the pricier per-proposition scans: carrier up to 24."""
     return build_family(24)
+
+
+def relabelled(alg, perm, validate=True):
+    """The same algebra with element a renamed perm[a]."""
+    perm = np.asarray(perm)
+    inv = np.argsort(perm)
+    return MvAlgebra(
+        perm[alg.neg[inv]],
+        perm[alg.oplus[inv[:, None], inv[None, :]]],
+        zero=int(perm[alg.zero]),
+        labels=[alg.labels[a] for a in inv],
+        validate=validate,
+    )
+
+
+def poset_from_pairs(n, pairs):
+    """Poset from generating pairs (i, j) meaning i <= j; closure is taken."""
+    rel = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        rel[i, j] = True
+    return FinitePoset(transitive_closure(rel))
+
+
+def lattice_from_leq(leq, validate=True):
+    """Lattice tables read off an order matrix; LatticeError if some lub or
+    glb is missing."""
+    poset = FinitePoset(leq)
+    n = poset.n
+    join = np.zeros((n, n), dtype=np.int64)
+    meet = np.zeros((n, n), dtype=np.int64)
+    for a in range(n):
+        for b in range(a, n):
+            join[a, b] = join[b, a] = _lub(poset.leq, a, b)
+            meet[a, b] = meet[b, a] = _glb(poset.leq, a, b)
+    return FiniteDistLattice(poset.leq, join, meet, validate=validate)

@@ -14,13 +14,11 @@ from mvspectra import sheaf as sh
 from mvspectra import spectrum as sp
 from mvspectra.chang import ChangAlgebra, ChangSpace
 from mvspectra.errors import Error
-from mvspectra.lattice import (
-    FinitePoset,
-    duality_roundtrip,
-    lattice_from_downsets,
-)
+from mvspectra.lattice import duality_roundtrip, lattice_from_downsets
 from mvspectra.mv import MvAlgebra, check_axioms, lukasiewicz_chain, product
 from mvspectra.verify import run_suite
+
+from conftest import poset_from_pairs
 
 CRT_INSTANCES = 200
 SECTION_CAP = 10**6
@@ -68,7 +66,7 @@ def test_criterion_2_duality_roundtrip(family):
             for j in range(i + 1, k)
             if rng.random() < 0.3
         ]
-        lat = lattice_from_downsets(FinitePoset.from_pairs(k, pairs))
+        lat = lattice_from_downsets(poset_from_pairs(k, pairs))
         duality_roundtrip(lat)
     dt = time.monotonic() - t0
     assert dt < 10.0, f"duality round-trips took {dt:.2f}s"

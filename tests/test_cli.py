@@ -4,9 +4,20 @@ import io
 import json
 import time
 
+import numpy as np
 import pytest
 
 from mvspectra.cli import main
+from mvspectra.lattice import SCHEMA
+from mvspectra.mv import (
+    MvAlgebra,
+    _first_violation,
+    algebra_to_json,
+    lukasiewicz_chain,
+    product,
+)
+
+from conftest import relabelled
 
 L4 = '{"kind":"lukasiewicz","n":4}'
 PROD = '{"kind":"product","factors":[{"kind":"lukasiewicz","n":2},{"kind":"lukasiewicz","n":3}]}'
@@ -42,6 +53,31 @@ def test_check_violation_witness():
     assert data["ok"] is False
     assert data["violation"]["law"] == "involution"
     assert data["violation"]["witness"]
+
+
+def test_check_json_reports_the_scans_result():
+    perm = np.random.default_rng(7).permutation(12)
+    lawful = relabelled(product(lukasiewicz_chain(2), lukasiewicz_chain(3)), perm)
+    oplus = lawful.oplus.copy()
+    oplus[1, 2] = oplus[2, 1] = 5
+    broken = MvAlgebra(
+        lawful.neg, oplus, zero=lawful.zero, labels=lawful.labels, validate=False
+    )
+    for alg, law in ((lawful, None), (broken, "associativity")):
+        bad = _first_violation(alg)
+        assert (bad and bad.law) == law
+        report = {"schema": SCHEMA, "ok": bad is None, "violation": None}
+        if bad is not None:
+            report["violation"] = {
+                "law": bad.law,
+                "witness": list(bad.witness),
+                "witness_labels": list(bad.witness_labels),
+            }
+        code, text = run(
+            ["check", "--input", json.dumps(algebra_to_json(alg)), "--format", "json"]
+        )
+        assert code == (0 if bad is None else 1)
+        assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def test_check_chang_bounded():

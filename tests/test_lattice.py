@@ -26,13 +26,16 @@ from mvspectra.lattice import (
     poset_isomorphism,
     prime_ideals_bruteforce,
     stone_map,
+    transitive_closure,
 )
+
+from conftest import lattice_from_leq, poset_from_pairs
 
 
 def boolean_2x2():
     # 0 < a=1, b=2 < top=3
-    return FiniteDistLattice.from_leq(
-        FinitePoset.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).leq
+    return lattice_from_leq(
+        poset_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).leq
     )
 
 
@@ -68,8 +71,6 @@ def random_poset(rng, n):
         for j in range(i + 1, n):
             if rng.random() < 0.4:
                 rel[i, j] = True
-    from mvspectra.lattice import transitive_closure
-
     return FinitePoset(transitive_closure(rel))
 
 
@@ -85,7 +86,7 @@ def test_poset_rejects_non_orders():
 
 
 def test_downsets_of_chain_and_antichain():
-    chain = FinitePoset.from_pairs(3, [(0, 1), (1, 2)])
+    chain = poset_from_pairs(3, [(0, 1), (1, 2)])
     assert sorted(chain.downsets()) == [0b000, 0b001, 0b011, 0b111]
     anti = FinitePoset(np.eye(3, dtype=bool))
     assert len(anti.downsets()) == 8
@@ -109,7 +110,7 @@ def test_downsets_are_downclosed_and_distinct():
 
 
 def test_order_components():
-    p = FinitePoset.from_pairs(5, [(0, 1), (2, 3)])
+    p = poset_from_pairs(5, [(0, 1), (2, 3)])
     assert p.order_components() == [
         frozenset({0, 1}),
         frozenset({2, 3}),
@@ -129,9 +130,9 @@ def test_chain_tables():
 
 def test_from_leq_detects_missing_bounds():
     # two incomparable maximal elements: no top, no lub
-    p = FinitePoset.from_pairs(3, [(0, 1), (0, 2)])
+    p = poset_from_pairs(3, [(0, 1), (0, 2)])
     with pytest.raises(LatticeError):
-        FiniteDistLattice.from_leq(p.leq)
+        lattice_from_leq(p.leq)
 
 
 def test_m3_not_distributive_with_witness():
@@ -348,14 +349,14 @@ def test_non_congruence_is_not_galois_closed():
 
 
 def test_poset_isomorphism_found_and_refuted():
-    p = FinitePoset.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    q = FinitePoset.from_pairs(4, [(3, 2), (3, 1), (2, 0), (1, 0)])
+    p = poset_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    q = poset_from_pairs(4, [(3, 2), (3, 1), (2, 0), (1, 0)])
     f = poset_isomorphism(p, q)
     assert f is not None
     for a in range(4):
         for b in range(4):
             assert bool(p.leq[a, b]) == bool(q.leq[f[a], f[b]])
-    chain = FinitePoset.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    chain = poset_from_pairs(4, [(0, 1), (1, 2), (2, 3)])
     assert poset_isomorphism(p, chain) is None
 
 
@@ -366,7 +367,7 @@ def test_lattice_isomorphic_on_relabelled_lattice():
     rng.shuffle(perm)
     inv = [perm.index(i) for i in range(lat.n)]
     leq2 = lat.leq[np.ix_(inv, inv)]
-    relabelled = FiniteDistLattice.from_leq(leq2, validate=False)
+    relabelled = lattice_from_leq(leq2, validate=False)
     assert lattice_isomorphic(lat, relabelled)
     assert not lattice_isomorphic(lat, FiniteDistLattice.chain(lat.n))
 

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvspectra import mv
 from mvspectra.errors import AlgebraError, CapExceeded
 from mvspectra.lattice import FiniteDistLattice
 from mvspectra.mv import (
     MvAlgebra,
+    _first_violation,
     algebra_from_json,
     algebra_to_json,
     check_axioms,
@@ -30,6 +33,8 @@ from mvspectra.mv import (
 )
 from mvspectra.chang import ChangAlgebra
 from mvspectra.spectrum import MvDualSpace
+
+from conftest import relabelled
 
 
 # ---------------------------------------------------------------- oracles
@@ -171,11 +176,38 @@ def test_perturbed_tables_fail_a_law_or_have_a_lawful_reduct(small_family, data)
             oplus[b, a] = value
     edited = MvAlgebra(neg, oplus, zero=alg.zero, validate=False)
     v = check_axioms(edited)
+    assert v == _first_violation(edited)  # the scan is the certificate's oracle
     if v is None:
         assert_reduct_is_bounded_distributive(edited)
     else:
         assert v.law in SIX_LAWS
         assert violates((neg, oplus), v.law, v.witness)
+
+
+def test_lawful_tables_take_the_chain_certificate(family, monkeypatch):
+    """A certificate that always failed would pass every other test and
+    save nothing, so the scan raises here; relabelled copies give the
+    invariance of check under renaming the carrier."""
+
+    def scan(alg):
+        raise AssertionError("the cubic scan ran on a lawful table")
+
+    monkeypatch.setattr(mv, "_first_violation", scan)
+    chains = {n: lukasiewicz_chain(n) for n in (1, 2, 3)}
+    cases = dict(family)
+    for name, factors in {
+        "L1xL2xL3": (1, 2, 3),
+        "L1^5": (1,) * 5,
+        "L2^4": (2,) * 4,
+        "L2^3xL3": (2, 2, 2, 3),
+    }.items():
+        cases[name] = reduce(product, [chains[n] for n in factors])
+    rng = np.random.default_rng(3)
+    for name, alg in cases.items():
+        assert check_axioms(alg) is None, name
+        for _ in range(3):
+            copy = relabelled(alg, rng.permutation(alg.n), validate=False)
+            assert check_axioms(copy) is None, name
 
 
 def test_broken_involution_detected():
@@ -426,13 +458,15 @@ def test_congruence_class_matches_pairwise_test():
 
 # ---------------------------------------------------------------- json
 
-def test_json_roundtrip_tables():
-    alg = product(lukasiewicz_chain(1), lukasiewicz_chain(2))
-    data = algebra_to_json(alg)
-    back = algebra_from_json(data)
-    assert np.array_equal(back.oplus, alg.oplus)
-    assert np.array_equal(back.neg, alg.neg)
-    assert back.labels == alg.labels
+def test_json_roundtrip_tables(family):
+    pair = product(lukasiewicz_chain(1), lukasiewicz_chain(2))
+    perm = np.random.default_rng(5).permutation(pair.n)
+    for alg in [*family.values(), relabelled(pair, perm)]:
+        back = algebra_from_json(algebra_to_json(alg))
+        assert np.array_equal(back.oplus, alg.oplus)
+        assert np.array_equal(back.neg, alg.neg)
+        assert back.zero == alg.zero
+        assert back.labels == alg.labels
 
 
 def test_json_lukasiewicz_and_product_kinds():

@@ -20,6 +20,8 @@ from mvspectra.idealarith import oplus_bar_oracle
 from mvspectra.mv import MvAlgebra, is_maximal_mv_ideal, lukasiewicz_chain, product
 from mvspectra.verify import run_suite
 
+from conftest import relabelled
+
 
 def point_of(space, ideal):
     hits = [i for i, p in enumerate(space.points) if p.ideal == frozenset(ideal)]
@@ -302,18 +304,6 @@ def test_dot_output_marks_point_classes():
 
 
 # -- invariance under relabelling the carrier ------------------------------------
-
-
-def relabelled(alg, perm):
-    """The same algebra with element a renamed perm[a]."""
-    perm = np.asarray(perm)
-    inv = np.argsort(perm)
-    return MvAlgebra(
-        perm[alg.neg[inv]],
-        perm[alg.oplus[inv[:, None], inv[None, :]]],
-        zero=int(perm[alg.zero]),
-        labels=[alg.labels[a] for a in inv],
-    )
 
 
 @st.composite
