@@ -377,7 +377,7 @@ class ChangSpace:
             "m": {y.label(): self.m_map(y).label() for y in self.y_points},
         }
 
-    def to_dot(self, plus_edges=False, chang_bound=8):
+    def to_dot(self, chang_bound=8):
         """The window as a chain; dotted edges mark the gaps between families."""
         pts = self.points_bounded(chang_bound)
         lines = ["digraph space {", "  rankdir=BT;", "  node [shape=circle];"]

@@ -17,10 +17,10 @@ from .lattice import _closure, is_lattice_filter, is_lattice_ideal
 
 
 def _as_indices(alg, members, what):
-    s = sorted(int(x) for x in members)
-    if any(not 0 <= x < alg.n for x in s):
+    idx = np.fromiter(members, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= alg.n):
         raise AlgebraError(f"{what} contains out-of-range elements")
-    return s
+    return idx
 
 
 def oplus_bar(alg, i, j):
@@ -29,9 +29,10 @@ def oplus_bar(alg, i, j):
     jj = _as_indices(alg, j, "ideal")
     if not is_lattice_ideal(alg, ii) or not is_lattice_ideal(alg, jj):
         raise AlgebraError("oplus_bar needs lattice ideals")
-    sums = np.unique(alg.oplus[np.ix_(ii, jj)])
+    sums = np.zeros(alg.n, dtype=bool)
+    sums[alg.oplus[ii[:, None], jj]] = True
     below = alg.leq[:, sums].any(axis=1)
-    return frozenset(np.flatnonzero(below).tolist())
+    return frozenset(below.nonzero()[0].tolist())
 
 
 def ominus_bar(alg, f, i):
@@ -42,17 +43,20 @@ def ominus_bar(alg, f, i):
         raise AlgebraError("ominus_bar needs a lattice filter on the left")
     if not is_lattice_ideal(alg, ii):
         raise AlgebraError("ominus_bar needs a lattice ideal on the right")
-    diffs = np.unique(alg.ominus[np.ix_(ff, ii)])
+    diffs = np.zeros(alg.n, dtype=bool)
+    diffs[alg.ominus[ff[:, None], ii]] = True
     above = alg.leq[diffs, :].any(axis=0)
-    return frozenset(np.flatnonzero(above).tolist())
+    return frozenset(above.nonzero()[0].tolist())
 
 
 def _pairwise(alg, table, left, right):
-    inside = np.zeros(alg.n, dtype=bool)
+    """Boolean "hit" vector over the carrier: the table entries of all
+    pairs from left x right."""
+    hit = np.zeros(alg.n, dtype=bool)
     rows = np.fromiter(left, dtype=np.intp)
     cols = np.fromiter(right, dtype=np.intp)
-    inside[table[np.ix_(rows, cols)]] = True
-    return inside
+    hit[table[rows[:, None], cols]] = True
+    return hit
 
 
 def oplus_bar_oracle(alg, i, j):

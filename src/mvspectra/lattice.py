@@ -127,12 +127,8 @@ class FinitePoset:
             out.append(frozenset(block))
         return sorted(out, key=lambda b: min(b))
 
-    def to_dot(self, labels=None, doublecircle=(), filled=(), extra_edges=()):
-        """Hasse diagram in DOT, bottom-up; decorations mark point classes.
-
-        extra_edges are (src, dst, label) triples drawn dashed on top of the
-        covering relation.
-        """
+    def to_dot(self, labels=None, doublecircle=(), filled=()):
+        """Hasse diagram in DOT, bottom-up; decorations mark point classes."""
         labels = labels if labels is not None else [str(i) for i in range(self.n)]
         dbl, fil = set(doublecircle), set(filled)
         lines = ["digraph poset {", "  rankdir=BT;", '  node [shape=circle];']
@@ -145,8 +141,6 @@ class FinitePoset:
             lines.append(f"  n{i} [{' '.join(attrs)}];")
         for i, j in np.argwhere(self.covers).tolist():
             lines.append(f"  n{i} -> n{j};")
-        for src, dst, lab in extra_edges:
-            lines.append(f'  n{src} -> n{dst} [style=dashed label="{lab}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -279,12 +273,12 @@ def _closed_set(order, op, members):
     and op keeps every pair of members inside: the one test behind lattice
     ideals and filters here and MV-ideals in mv.py."""
     inside = np.zeros(order.shape[0], dtype=bool)
-    inside[list(members)] = True
-    idx = np.flatnonzero(inside)
+    inside[np.fromiter(members, dtype=np.intp)] = True
+    idx = inside.nonzero()[0]
     return bool(
         idx.size
-        and not order[np.ix_(~inside, inside)].any()
-        and inside[op[np.ix_(idx, idx)]].all()
+        and inside[order[:, idx].any(axis=1)].all()
+        and inside[op[idx[:, None], idx]].all()
     )
 
 
@@ -292,14 +286,25 @@ def _closure(order, op, inside):
     """Least superset of the boolean membership vector inside with no
     order[a, b] from outside to inside and with op keeping every pair of
     members inside, as a frozenset: the slow fixpoint behind the closure
-    oracles, adding one round of order and op images until nothing changes."""
-    while True:
-        idx = np.flatnonzero(inside)
-        nxt = inside | order[:, idx].any(axis=1)
-        nxt[op[np.ix_(idx, idx)]] = True
-        if (nxt == inside).all():
-            return frozenset(idx.tolist())
-        inside = nxt
+    oracles.  Rounds are semi-naive: only the members added last round
+    have their order images taken and are paired by op with all members,
+    since every older pair was handled when its younger end was added.  A
+    round whose order images cover the carrier (a member above everything
+    has entered) returns the whole carrier, which is then the fixpoint."""
+    n = inside.shape[0]
+    inside = inside.copy()
+    new = inside.nonzero()[0]
+    while new.size:
+        hit = order[:, new].any(axis=1)
+        if hit.all():
+            return frozenset(range(n))
+        idx = inside.nonzero()[0]
+        hit[op[new[:, None], idx]] = True
+        if idx.size > new.size:  # else new is idx and this is the same set
+            hit[op[idx[:, None], new]] = True
+        new = (hit & ~inside).nonzero()[0]
+        inside |= hit
+    return frozenset(inside.nonzero()[0].tolist())
 
 
 def is_lattice_ideal(lat, members):

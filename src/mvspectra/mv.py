@@ -261,17 +261,12 @@ def product(a, b, cap=4096):
     )
 
 
-def from_tables(neg, oplus, zero=0, labels=None, validate=True):
-    """Validating constructor: raises AlgebraError carrying the violation."""
-    return MvAlgebra(neg, oplus, zero=zero, labels=labels, validate=validate)
-
-
 # -- MV-ideals ---------------------------------------------------------------
 
 
 def is_mv_ideal(alg, members):
     """Downset containing zero, closed under truncated addition."""
-    s = frozenset(int(x) for x in members)
+    s = frozenset(members)
     return alg.zero in s and _closed_set(alg.leq, alg.oplus, s)
 
 
@@ -429,6 +424,8 @@ def algebra_from_json(data, product_cap=4096, validate=True):
             raise AlgebraError('tables needs "neg" and "oplus"')
         neg, oplus = data["neg"], data["oplus"]
         zero, labels = data.get("zero", 0), data.get("labels")
+        if isinstance(neg, list) and len(neg) > product_cap:
+            raise CapExceeded(f"tables carrier {len(neg)} exceeds cap {product_cap}")
         if not _json_ints(neg):
             raise AlgebraError('tables "neg" must be a list of integers')
         if not isinstance(oplus, list) or not all(_json_ints(row) for row in oplus):
@@ -437,7 +434,7 @@ def algebra_from_json(data, product_cap=4096, validate=True):
             raise AlgebraError('tables "zero" must be an integer')
         if labels is not None and not isinstance(labels, list):
             raise AlgebraError('tables "labels" must be a list')
-        return from_tables(neg, oplus, zero=zero, labels=labels, validate=validate)
+        return MvAlgebra(neg, oplus, zero=zero, labels=labels, validate=validate)
     if kind == "chang":
         from .chang import ChangAlgebra
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import AlgebraError, CapExceeded
 from .lattice import SCHEMA, congruence_of_subspace
 from .idealarith import oplus_bar
-from .mv import congruence_class, ideal_congruent, is_mv_ideal
+from .mv import ideal_congruent, is_mv_ideal
 from .spectrum import MvDualSpace
 
 BASE_PRIME = "prime"
@@ -293,12 +293,19 @@ def crt_solve(alg, ideals, targets):
     for i in ideals:
         if not is_mv_ideal(alg, i):
             raise AlgebraError("remainder solving needs MV ideals")
-    if frozenset.intersection(*(frozenset(i) for i in ideals)) != {alg.zero}:
+    inside = np.zeros((len(ideals), alg.n), dtype=bool)
+    for row, i in zip(inside, ideals):
+        row[np.fromiter(i, dtype=np.intp)] = True
+    if inside.all(axis=0).nonzero()[0].tolist() != [alg.zero]:
         raise AlgebraError("the ideals do not intersect to zero")
-    solved = np.logical_and.reduce(
-        [congruence_class(alg, t, i) for i, t in zip(ideals, targets)]
-    )
-    found = np.flatnonzero(solved)
+    # b is congruent to t modulo I when both b ominus t and t ominus b lie
+    # in I: one gather per direction gives every ideal's class at once
+    rows = np.arange(len(ideals))[:, None]
+    t = np.asarray(targets, dtype=np.intp)
+    solved = (
+        inside[rows, alg.ominus[:, t].T] & inside[rows, alg.ominus[t, :]]
+    ).all(axis=0)
+    found = solved.nonzero()[0]
     if len(found) == 1:
         return int(found[0])
     for l in range(len(ideals)):
@@ -388,19 +395,13 @@ def tower_sandwich(space, a, u):
     tower hats, which sits inside the down-closure of the left side; both
     inclusions are asserted and the three sets returned.
     """
-    alg = space.algebra
-    npts = len(space.points)
-    useen = frozenset(
-        x for x in range(npts) if u in space.points[int(space.k[x])].ideal
-    )
-    lhs = space.hat(a) & useen
-    seq = difference_tower(alg, a, u)
-    mid = frozenset.intersection(*(space.hat(v) for v in seq))
-    leq = space.order.leq
-    down = frozenset(
-        x for x in range(npts) if any(leq[x, xp] for xp in useen)
-    )
-    rhs = space.hat(a) & down
-    if not (lhs <= mid and mid <= rhs):
+    member = space.member
+    hat_a = ~member[:, a]
+    useen = member[space.k, u]  # u lies in the ideal of k(x)
+    lhs = hat_a & useen
+    seq = difference_tower(space.algebra, a, u)
+    mid = ~member[:, seq].any(axis=1)
+    rhs = hat_a & space.order.leq[:, useen].any(axis=1)
+    if (lhs & ~mid).any() or (mid & ~rhs).any():
         raise AlgebraError("tower bounds fail")
-    return lhs, mid, rhs
+    return tuple(frozenset(v.nonzero()[0].tolist()) for v in (lhs, mid, rhs))

@@ -125,12 +125,6 @@ class MvDualSpace:
     # -- derived views -------------------------------------------------------
 
     @cached_property
-    def plus_domain(self):
-        return frozenset(
-            (int(x), int(y)) for x, y in np.argwhere(self.plus >= 0)
-        )
-
-    @cached_property
     def mk(self):
         return np.array([self.m[int(self.k[x])] for x in range(len(self.points))])
 
@@ -192,17 +186,11 @@ class MvDualSpace:
             "m": [[int(y), int(z)] for y, z in sorted(self.m.items())],
         }
 
-    def to_dot(self, plus_edges=False, chang_bound=8):
-        labels = [self.point_label(x) for x in range(len(self.points))]
-        extra = []
-        if plus_edges:
-            for (x, y) in sorted(self.plus_domain):
-                extra.append((x, int(self.plus[x, y]), f"+{labels[y]}"))
+    def to_dot(self, chang_bound=8):
         return self.order.to_dot(
-            labels=labels,
+            labels=[self.point_label(x) for x in range(len(self.points))],
             doublecircle=self.y_points,
             filled=self.z_points,
-            extra_edges=extra,
         )
 
 

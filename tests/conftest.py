@@ -75,3 +75,53 @@ def lattice_from_leq(leq, validate=True):
             join[a, b] = join[b, a] = _lub(poset.leq, a, b)
             meet[a, b] = meet[b, a] = _glb(poset.leq, a, b)
     return FiniteDistLattice(poset.leq, join, meet, validate=validate)
+
+
+# -- scalar references for the vectorised rows of verify -----------------------
+# Each returns the row's failure message, or None, by scanning the points one
+# at a time in the order the row reports its first failure.
+
+
+def plus_associative_reference(plus):
+    n = plus.shape[0]
+    for x in range(n):
+        for y in range(n):
+            if plus[x, y] < 0:
+                continue
+            for z in range(n):
+                if plus[plus[x, y], z] < 0:
+                    continue
+                if plus[y, z] < 0 or plus[x, plus[y, z]] < 0:
+                    return f"associativity domain gap at ({x}, {y}, {z})"
+                if plus[plus[x, y], z] != plus[x, plus[y, z]]:
+                    return f"associativity fails at ({x}, {y}, {z})"
+    return None
+
+
+def plus_translation_reference(plus, leq):
+    n = plus.shape[0]
+    for x in range(n):
+        for y2 in range(n):
+            if plus[x, y2] < 0:
+                continue
+            for y1 in np.flatnonzero(leq[:, y2]).tolist():
+                if plus[x, y1] < 0:
+                    return f"translation domain gap at ({x}, {y1} <= {y2})"
+                if not leq[plus[x, y1], plus[x, y2]]:
+                    return f"translation monotonicity fails at ({x}, {y1}, {y2})"
+    return None
+
+
+def plus_domain_reference(plus, leq, involution):
+    n = plus.shape[0]
+    dom = plus >= 0
+    by_inv = leq[np.arange(n)[None, :], involution[:, None]]
+    if not (dom == by_inv).all():
+        return "domain of + differs from the involution description"
+    for x2 in range(n):
+        for y2 in range(n):
+            if not dom[x2, y2]:
+                continue
+            if not dom[np.ix_(leq[:, x2], leq[:, y2])].all():
+                return f"domain of + is not downward closed under ({x2}, {y2})"
+    return None

@@ -3,6 +3,7 @@
 import io
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,25 @@ def test_huge_chain_rejected_before_tables(capsys):
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert "exceeds cap 4096" in err and "Traceback" not in err
+
+
+def test_huge_tables_rejected_before_rows(capsys):
+    # a 4,097-entry neg is over the cap; the oplus value is never walked (a
+    # string would otherwise be a malformed-rows error) and no n x n table,
+    # 134 MB as int64, is built
+    huge = json.dumps({"kind": "tables", "neg": list(range(4097))[::-1],
+                       "oplus": "never read"})
+    for command in ("spectrum", "check", "verify"):
+        tracemalloc.start()
+        try:
+            code, text = run([command, "--input", huge])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err == "mvspectra: tables carrier 4097 exceeds cap 4096\n"
 
 
 def _l2_tables(**edit):

@@ -11,7 +11,13 @@ import pytest
 from mvspectra import sheaf as sh
 from mvspectra import spectrum as sp
 from mvspectra.errors import CapExceeded, Error
-from mvspectra.mv import ideal_congruent, lukasiewicz_chain, product, quotient
+from mvspectra.mv import (
+    MvAlgebra,
+    ideal_congruent,
+    lukasiewicz_chain,
+    product,
+    quotient,
+)
 from mvspectra.verify import run_suite
 
 
@@ -266,6 +272,24 @@ def test_crt_rejections():
         sh.crt_solve(alg, [KERN_FIRST], [1, 2])
 
 
+def test_crt_messages_when_not_unique():
+    alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
+    with pytest.raises(Error) as exc:
+        sh.crt_solve(alg, [KERN_FIRST, frozenset({0})], [8, 0])
+    assert str(exc.value) == "targets 0 and 1 are incompatible modulo the join"
+    # L1 x L2 with two oplus entries broken: (0,0) + (0,2) and (1,1) + (1,1);
+    # both ideals stay MV ideals meeting in zero, and (0,1) and (0,2) both
+    # solve the system, which a lawful algebra never allows
+    base = product(lukasiewicz_chain(1), lukasiewicz_chain(2))
+    oplus = base.oplus.copy()
+    oplus[0, 2] = oplus[2, 0] = 1
+    oplus[4, 4] = 4
+    broken = MvAlgebra(base.neg.copy(), oplus, validate=False)
+    with pytest.raises(Error) as exc:
+        sh.crt_solve(broken, [frozenset({0, 1, 2}), frozenset({0, 3, 4})], [0, 5])
+    assert str(exc.value) == "expected a unique solution, found 2"
+
+
 def test_crt_join_is_the_ideal_sum():
     # the join of down(1,0,0) and down(0,1,0) is down(1,1,0), larger than
     # their union; (0,0,0) and (0,0,1) differ modulo it
@@ -361,6 +385,19 @@ def test_difference_tower_shape(small_family):
                     assert int(alg.ominus[prev, u]) == nxt and nxt != prev
 
 
+def _tower_sets_by_comprehension(space, a, u):
+    """The three sandwich sets, one point at a time."""
+    npts = len(space.points)
+    useen = frozenset(
+        x for x in range(npts) if u in space.points[int(space.k[x])].ideal
+    )
+    seq = sh.difference_tower(space.algebra, a, u)
+    mid = frozenset.intersection(*(space.hat(v) for v in seq))
+    leq = space.order.leq
+    down = frozenset(x for x in range(npts) if any(leq[x, xp] for xp in useen))
+    return space.hat(a) & useen, mid, space.hat(a) & down
+
+
 def test_tower_sandwich_all_pairs(small_family):
     for label, alg in small_family.items():
         space = sp.build_dual_space(alg)
@@ -368,6 +405,7 @@ def test_tower_sandwich_all_pairs(small_family):
             for u in range(alg.n):
                 lhs, mid, rhs = sh.tower_sandwich(space, a, u)
                 assert lhs <= mid <= rhs
+                assert (lhs, mid, rhs) == _tower_sets_by_comprehension(space, a, u)
 
 
 def test_tower_sandwich_collapses_here(prod_space):

@@ -52,7 +52,9 @@ def test_three_chain_space_pinned():
     assert space.partial_plus(x1, x2) == x2
     assert space.partial_plus(x2, x1) == x2
     assert space.partial_plus(x2, x2) is None
-    assert space.plus_domain == frozenset({(x1, x1), (x1, x2), (x2, x1)})
+    assert set(map(tuple, np.argwhere(space.plus >= 0).tolist())) == {
+        (x1, x1), (x1, x2), (x2, x1)
+    }
     assert space.k_map(x1) == x1 and space.k_map(x2) == x1
     assert set(space.fiber(x1)) == {x1, x2}
     assert sp.interpolate(space, x1, x2) == x1
@@ -297,8 +299,6 @@ def test_dot_output_marks_point_classes():
     dot = space.to_dot()
     assert dot.startswith("digraph")
     assert "peripheries=2" in dot and "style=filled" in dot
-    withplus = space.to_dot(plus_edges=True)
-    assert len(withplus) > len(dot)
     chang_dot = sp.build_dual_space(ChangAlgebra()).to_dot(chang_bound=4)
     assert "I_omega" in chang_dot
 
@@ -322,7 +322,7 @@ def test_relabelling_invariance(case):
     alg, perm = case
     pair = (alg, relabelled(alg, perm))
     sizes = [
-        (len(s.points), len(s.y_points), len(s.z_points), len(s.plus_domain))
+        (len(s.points), len(s.y_points), len(s.z_points), int((s.plus >= 0).sum()))
         for s in map(sp.build_dual_space, pair)
     ]
     assert sizes[0] == sizes[1]

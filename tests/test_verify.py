@@ -1,5 +1,8 @@
 """Suite-runner behavior: statuses, determinism, and honest failures."""
 
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,12 @@ from mvspectra.chang import ChangAlgebra
 from mvspectra.errors import Error
 from mvspectra.mv import MvAlgebra, lukasiewicz_chain, product
 from mvspectra.verify import SUITE_NAMES, run_suite
+
+from conftest import (
+    plus_associative_reference,
+    plus_domain_reference,
+    plus_translation_reference,
+)
 
 
 def test_all_suite_passes_and_lines_format():
@@ -123,3 +132,94 @@ def test_corrupted_space_fails_the_owning_row(monkeypatch, suite, row, edit, det
     rows = {r.name: r for r in run_suite(L2xL3, suite)}
     assert rows[row].status == "fail"
     assert detail in rows[row].detail
+
+
+def test_continuity_row_names_a_join_irreducible(monkeypatch):
+    # the row scans zero and the join-irreducibles of the reduct only;
+    # element 2 of L2xL3 is (0,2), one of them
+    def corrupted(alg):
+        space = REAL_SPACE(alg)
+        _redirect_a_sum(space)
+        return space
+
+    assert 2 in L2xL3.lattice_reduct().join_irreducibles
+    monkeypatch.setattr(verify, "MvDualSpace", corrupted)
+    rows = {r.name: r for r in run_suite(L2xL3, "plus")}
+    assert rows["plus-continuity-identity"].detail == (
+        "+ continuity identity fails for element 2 at (3, 4)"
+    )
+
+
+# -- the vectorised rows name the witness a scalar scan names --------------------
+
+PARITY_ALGEBRAS = [
+    L2xL3,
+    product(product(lukasiewicz_chain(1), lukasiewicz_chain(1)), lukasiewicz_chain(2)),
+    product(lukasiewicz_chain(3), lukasiewicz_chain(4)),
+    product(product(lukasiewicz_chain(2), lukasiewicz_chain(2)), lukasiewicz_chain(2)),
+    product(lukasiewicz_chain(5), lukasiewicz_chain(6)),
+]
+
+
+def _row_message(check, space):
+    try:
+        check(SimpleNamespace(space=space))
+    except Error as exc:
+        return str(exc)
+    return None
+
+
+def _mutated(space, rng, trial):
+    """A copy of space with its plus table broken in one of three ways:
+    a few entries knocked out or redirected; one whole row redrawn at
+    random, so that many triples fail and the scan order decides which is
+    named; or the involution permuted with the domain of + set to its
+    involution description, so that downward closure is what breaks."""
+    s = copy.copy(space)
+    npts = len(space.points)
+    plus = space.plus.copy()
+    if trial % 3 == 0:
+        for _ in range(3):
+            x, y = rng.integers(npts, size=2)
+            plus[x, y] = -1 if rng.random() < 0.5 else rng.integers(npts)
+    elif trial % 3 == 1:
+        plus[rng.integers(npts)] = rng.integers(-1, npts, size=npts)
+    else:
+        s.involution = rng.permutation(npts)
+        by_inv = space.order.leq[np.arange(npts)[None, :], s.involution[:, None]]
+        plus = np.where(by_inv, np.maximum(plus, 0), -1)
+    s.plus = plus
+    return s
+
+
+def test_plus_rows_name_the_reference_witness():
+    rows = [
+        (verify._check_plus_associative,
+         lambda s: plus_associative_reference(s.plus)),
+        (verify._check_plus_translation,
+         lambda s: plus_translation_reference(s.plus, s.order.leq)),
+        (verify._check_plus_domain,
+         lambda s: plus_domain_reference(s.plus, s.order.leq, s.involution)),
+    ]
+    kinds = set()
+    for alg in PARITY_ALGEBRAS:
+        space = REAL_SPACE(alg)
+        for check, reference in rows:
+            assert _row_message(check, space) is None is reference(space)
+        rng = np.random.default_rng(len(space.points))
+        for trial in range(90):
+            s = _mutated(space, rng, trial)
+            for check, reference in rows:
+                got = _row_message(check, s)
+                assert got == reference(s)
+                if got is not None:
+                    kinds.add(got.split(" at (")[0].split(" under (")[0])
+    # every failure message of the three rows was exercised
+    assert kinds == {
+        "associativity domain gap",
+        "associativity fails",
+        "translation domain gap",
+        "translation monotonicity fails",
+        "domain of + differs from the involution description",
+        "domain of + is not downward closed",
+    }
