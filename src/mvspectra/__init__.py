@@ -1,120 +1,81 @@
-"""Finite MV-algebras, their dual spaces, and sheaf representations."""
+"""Finite MV-algebras, their dual spaces, and sheaf representations.
 
-from .chang import ChangAlgebra, ChangFilter, ChangIdeal, ChangSpace
-from .errors import (
-    AlgebraError,
-    CapExceeded,
-    Error,
-    LatticeError,
-    NotDistributiveError,
-    PosetError,
-    SearchBudgetExceeded,
-)
-from .idealarith import (
-    is_lattice_filter,
-    is_lattice_ideal,
-    ominus_bar,
-    oplus_bar,
-)
-from .lattice import (
-    DualSpacePoint,
-    FiniteDistLattice,
-    FinitePoset,
-    duality_roundtrip,
-    enumerate_prime_ideals,
-    lattice_from_downsets,
-    stone_map,
-)
-from .mv import (
-    MvAlgebra,
-    algebra_from_json,
-    algebra_to_json,
-    check_axioms,
-    enumerate_mv_ideals,
-    ideal_generated,
-    is_mv_ideal,
-    lukasiewicz_chain,
-    product,
-    quotient,
-)
-from .sheaf import (
-    BASE_MAXIMAL,
-    BASE_PRIME,
-    EtaleInstance,
-    build_etale,
-    check_property_p,
-    crt_solve,
-    crt_term,
-    decomposition_sheaf,
-    difference_tower,
-    eta_check,
-    germinal_ideal,
-    global_sections,
-    tower_sandwich,
-)
-from .spectrum import (
-    MvDualSpace,
-    WQuotient,
-    build_dual_space,
-    interpolate,
-    kaplansky_check,
-    w_quotient,
-)
-from .verify import CheckResult, SUITE_NAMES, run_suite
+The package surface is lazy (PEP 562): importing mvspectra loads no
+submodule, and each public name is imported from its home module on first
+use, so a caller pays only for the layers it touches.
+"""
 
-__all__ = [
-    "AlgebraError",
-    "BASE_MAXIMAL",
-    "BASE_PRIME",
-    "CapExceeded",
-    "ChangAlgebra",
-    "ChangFilter",
-    "ChangIdeal",
-    "ChangSpace",
-    "CheckResult",
-    "DualSpacePoint",
-    "Error",
-    "EtaleInstance",
-    "FiniteDistLattice",
-    "FinitePoset",
-    "LatticeError",
-    "MvAlgebra",
-    "MvDualSpace",
-    "NotDistributiveError",
-    "PosetError",
-    "SUITE_NAMES",
-    "SearchBudgetExceeded",
-    "WQuotient",
-    "algebra_from_json",
-    "algebra_to_json",
-    "build_dual_space",
-    "build_etale",
-    "check_axioms",
-    "check_property_p",
-    "crt_solve",
-    "crt_term",
-    "decomposition_sheaf",
-    "difference_tower",
-    "duality_roundtrip",
-    "enumerate_mv_ideals",
-    "enumerate_prime_ideals",
-    "eta_check",
-    "germinal_ideal",
-    "global_sections",
-    "ideal_generated",
-    "interpolate",
-    "is_lattice_filter",
-    "is_lattice_ideal",
-    "is_mv_ideal",
-    "kaplansky_check",
-    "lattice_from_downsets",
-    "lukasiewicz_chain",
-    "ominus_bar",
-    "oplus_bar",
-    "product",
-    "quotient",
-    "run_suite",
-    "stone_map",
-    "tower_sandwich",
-    "w_quotient",
-]
+import importlib
+
+# home module -> the public names it provides; each name is listed once
+_HOMES = {
+    "chang": ("ChangAlgebra", "ChangFilter", "ChangIdeal", "ChangSpace"),
+    "errors": (
+        "AlgebraError",
+        "CapExceeded",
+        "Error",
+        "LatticeError",
+        "NotDistributiveError",
+        "PosetError",
+        "SearchBudgetExceeded",
+    ),
+    "idealarith": ("is_lattice_filter", "is_lattice_ideal", "ominus_bar", "oplus_bar"),
+    "lattice": (
+        "DualSpacePoint",
+        "FiniteDistLattice",
+        "FinitePoset",
+        "duality_roundtrip",
+        "enumerate_prime_ideals",
+        "lattice_from_downsets",
+        "stone_map",
+    ),
+    "mv": (
+        "MvAlgebra",
+        "SUITE_NAMES",
+        "algebra_from_json",
+        "algebra_to_json",
+        "check_axioms",
+        "enumerate_mv_ideals",
+        "ideal_generated",
+        "is_mv_ideal",
+        "lukasiewicz_chain",
+        "product",
+        "quotient",
+    ),
+    "sheaf": (
+        "BASE_MAXIMAL",
+        "BASE_PRIME",
+        "EtaleInstance",
+        "build_etale",
+        "check_property_p",
+        "crt_solve",
+        "crt_term",
+        "decomposition_sheaf",
+        "difference_tower",
+        "eta_check",
+        "germinal_ideal",
+        "global_sections",
+        "tower_sandwich",
+    ),
+    "spectrum": (
+        "MvDualSpace",
+        "WQuotient",
+        "build_dual_space",
+        "interpolate",
+        "kaplansky_check",
+        "w_quotient",
+    ),
+    "verify": ("CheckResult", "run_suite"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlgebraError
-from .lattice import SCHEMA
-from .mv import AxiomViolation
+from .mv import SCHEMA, AxiomViolation
 
 FIN = "fin"
 COFIN = "cofin"

@@ -29,8 +29,6 @@ from .errors import (
     SearchBudgetExceeded,
 )
 
-SCHEMA = "mv-spectra/1"
-
 
 def _bool_mm(a, b):
     # boolean matrix product through float32 BLAS: each entry counts the

@@ -15,7 +15,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlgebraError, CapExceeded
-from .lattice import SCHEMA, FiniteDistLattice, _closed_set, _closure
+
+# the JSON schema tag of every document the package reads or writes
+SCHEMA = "mv-spectra/1"
+# the suites of verify.run_suite, here so that the CLI can offer them as
+# --suite choices without loading verify
+SUITE_NAMES = ("all", "plus", "k", "kaplansky", "sheaf-prime", "sheaf-maximal", "crt")
+
 
 @dataclass(frozen=True)
 class AxiomViolation:
@@ -98,6 +104,8 @@ class MvAlgebra:
         return self.join == np.arange(self.n)[None, :]
 
     def lattice_reduct(self):
+        from .lattice import FiniteDistLattice
+
         return FiniteDistLattice(
             self.leq, self.join, self.meet, labels=self.labels, validate=False
         )
@@ -266,6 +274,8 @@ def product(a, b, cap=4096):
 
 def is_mv_ideal(alg, members):
     """Downset containing zero, closed under truncated addition."""
+    from .lattice import _closed_set
+
     s = frozenset(members)
     return alg.zero in s and _closed_set(alg.leq, alg.oplus, s)
 
@@ -276,6 +286,8 @@ def ideal_generated(alg, seed):
     Slow oracle: verify's ideal-join-coincidence check holds it against
     idealarith.oplus_bar, the route the program computes joins with.
     """
+    from .lattice import _closure
+
     inside = np.zeros(alg.n, dtype=bool)
     inside[[alg.zero, *(int(x) for x in seed)]] = True
     return _closure(alg.leq, alg.oplus, inside)

@@ -30,17 +30,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .chang import ChangAlgebra, ChangSpace
 from .errors import AlgebraError, SearchBudgetExceeded
 from .idealarith import ominus_bar, oplus_bar
 from .lattice import (
-    SCHEMA,
     _bool_mm,
     dual_order,
     enumerate_prime_ideals,
     lattice_isomorphic,
 )
-from .mv import enumerate_mv_ideals, maximal_mv_ideals
+from .mv import SCHEMA, MvAlgebra, enumerate_mv_ideals, maximal_mv_ideals
 
 
 class MvDualSpace:
@@ -55,7 +53,7 @@ class MvDualSpace:
     """
 
     def __init__(self, alg):
-        if isinstance(alg, ChangAlgebra):
+        if not isinstance(alg, MvAlgebra):
             raise AlgebraError("use ChangSpace for the symbolic carrier")
         self.algebra = alg
         self.lattice = alg.lattice_reduct()
@@ -196,9 +194,11 @@ class MvDualSpace:
 
 def build_dual_space(alg):
     """The dual space; the symbolic chain carrier gets its taxonomy space."""
-    if isinstance(alg, ChangAlgebra):
-        return ChangSpace()
-    return MvDualSpace(alg)
+    if isinstance(alg, MvAlgebra):
+        return MvDualSpace(alg)
+    from .chang import ChangSpace
+
+    return ChangSpace()
 
 
 def interpolate(space, x, xp):
@@ -306,8 +306,8 @@ def kaplansky_check(a, b, node_budget=200_000):
     overrun is reported as its own verdict, never conflated with a negative
     answer.
     """
-    chang_a = isinstance(a, ChangAlgebra)
-    chang_b = isinstance(b, ChangAlgebra)
+    chang_a = not isinstance(a, MvAlgebra)
+    chang_b = not isinstance(b, MvAlgebra)
     if chang_a != chang_b:
         return VERDICT_INCOMPARABLE
     if chang_a:

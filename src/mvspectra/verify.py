@@ -23,6 +23,7 @@ from .errors import CapExceeded, Error
 from .idealarith import oplus_bar, oplus_bar_oracle
 from .lattice import _bool_mm, duality_roundtrip, transitive_closure
 from .mv import (
+    SUITE_NAMES,
     check_axioms,
     congruence_class,
     enumerate_mv_ideals,
@@ -52,8 +53,6 @@ from .spectrum import (
     w_quotient,
     w_relation,
 )
-
-SUITE_NAMES = ("all", "plus", "k", "kaplansky", "sheaf-prime", "sheaf-maximal", "crt")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from mvspectra.cli import main
-from mvspectra.lattice import SCHEMA
 from mvspectra.mv import (
+    SCHEMA,
     MvAlgebra,
     _first_violation,
     algebra_to_json,
@@ -153,11 +153,12 @@ def test_verify_requires_valid_algebra():
 
 
 def test_verify_failure_exit_code(monkeypatch):
-    from mvspectra import cli
+    from mvspectra import verify
     from mvspectra.verify import CheckResult
 
+    # the verify command imports run_suite from its home when it runs
     monkeypatch.setattr(
-        cli, "run_suite", lambda *a, **k: [CheckResult("law", "fail", "broken")]
+        verify, "run_suite", lambda *a, **k: [CheckResult("law", "fail", "broken")]
     )
     code, text = run(["verify", "--input", L4])
     assert code == 1

@@ -1,0 +1,105 @@
+"""The lazy package surface, and the modules each CLI command loads.
+
+`import mvspectra` loads no submodule; each command imports only the layers
+it runs.  The module sets are read off sys.modules in fresh interpreters,
+so an eager import added later fails here instead of costing every call.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import mvspectra
+from mvspectra.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+L4 = '{"kind":"lukasiewicz","n":4}'
+PROD = '{"kind":"product","factors":[{"kind":"lukasiewicz","n":2},{"kind":"lukasiewicz","n":3}]}'
+BROKEN = '{"kind":"tables","neg":[2,2,0],"oplus":[[0,1,2],[1,2,2],[2,2,2]]}'
+
+CHECK = {"mvspectra", "mvspectra.cli", "mvspectra.errors", "mvspectra.mv"}
+SPECTRUM = CHECK | {"mvspectra.lattice", "mvspectra.idealarith", "mvspectra.spectrum"}
+EVERY = {"mvspectra"} | {
+    f"mvspectra.{name}"
+    for name in ("chang", "cli", "errors", "idealarith", "lattice", "mv", "sheaf",
+                 "spectrum", "verify")
+}
+
+
+def loaded_modules(body):
+    """The mvspectra modules in sys.modules after running body afresh."""
+    code = (
+        "import json, sys\n" + body + "\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'mvspectra' or m.startswith('mvspectra.'))))\n"
+    )
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["check", "--input", PROD, "--format", "json"], 0, CHECK),
+        (["check", "--input", BROKEN, "--format", "json"], 1, CHECK),
+        (["spectrum", "--input", PROD, "--format", "json"], 0, SPECTRUM),
+        (["verify", "--input", L4], 0, EVERY),
+    ],
+    ids=["check", "check-rejects", "spectrum", "verify"],
+)
+def test_each_command_loads_only_its_layers(argv, code, expected):
+    body = (
+        "import io\nfrom mvspectra.cli import main\n"
+        f"assert main({argv!r}, out=io.StringIO()) == {code}"
+    )
+    assert loaded_modules(body) == expected
+
+
+def test_reading_an_algebra_loads_only_the_algebra_layer():
+    body = (
+        "from mvspectra import algebra_from_json\n"
+        f"algebra_from_json(json.loads({PROD!r}), validate=False)"
+    )
+    assert loaded_modules(body) == {"mvspectra", "mvspectra.errors", "mvspectra.mv"}
+
+
+def test_every_public_name_resolves_to_its_home():
+    assert len(mvspectra.__all__) == len(set(mvspectra.__all__))
+    for name in mvspectra.__all__:
+        home = importlib.import_module(f"mvspectra.{mvspectra._HOME[name]}")
+        assert getattr(mvspectra, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from mvspectra import *", namespace)
+    for name in mvspectra.__all__:
+        assert namespace[name] is getattr(mvspectra, name), name
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mvspectra.no_such_name
+
+
+def test_verify_help_lists_the_suites_and_refuses_others(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "{all,plus,k,kaplansky,sheaf-prime,sheaf-maximal,crt}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", L4, "--suite", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err

@@ -14,11 +14,14 @@ from mvspectra.errors import CapExceeded, Error
 from mvspectra.mv import (
     MvAlgebra,
     ideal_congruent,
+    is_mv_ideal,
     lukasiewicz_chain,
     product,
     quotient,
 )
 from mvspectra.verify import run_suite
+
+from conftest import relabelled
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +273,34 @@ def test_crt_rejections():
         sh.crt_solve(lukasiewicz_chain(2), [frozenset({0, 1})], [0])
     with pytest.raises(Error):  # misaligned lists
         sh.crt_solve(alg, [KERN_FIRST], [1, 2])
+
+
+def test_crt_refuses_every_non_ideal(monkeypatch):
+    # every subset of a relabelled L2 x L3, next to the zero ideal: an MV
+    # ideal (per the closure oracle) solves to zero without consulting that
+    # oracle, anything else is refused
+    oracle_calls = []
+    monkeypatch.setattr(
+        sh, "is_mv_ideal", lambda alg, s: oracle_calls.append(s) or is_mv_ideal(alg, s)
+    )
+    alg = relabelled(
+        product(lukasiewicz_chain(2), lukasiewicz_chain(3)),
+        np.random.default_rng(3).permutation(12),
+    )
+    zero = frozenset({alg.zero})
+    ideals = 0
+    for mask in range(1 << alg.n):
+        s = frozenset(a for a in range(alg.n) if mask >> a & 1)
+        if is_mv_ideal(alg, s):
+            ideals += 1
+            oracle_calls.clear()
+            assert sh.crt_solve(alg, [zero, s], [alg.zero, alg.zero]) == alg.zero
+            assert not oracle_calls
+        else:
+            with pytest.raises(Error) as exc:
+                sh.crt_solve(alg, [zero, s], [alg.zero, alg.zero])
+            assert str(exc.value) == "remainder solving needs MV ideals"
+    assert ideals == 4  # the downsets of the four idempotents
 
 
 def test_crt_messages_when_not_unique():
