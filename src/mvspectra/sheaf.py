@@ -290,19 +290,12 @@ def crt_solve(alg, ideals, targets):
     """
     if len(ideals) != len(targets) or not ideals:
         raise AlgebraError("need matching nonempty ideal and target lists")
+    for i in ideals:
+        if not is_mv_ideal(alg, i):
+            raise AlgebraError("remainder solving needs MV ideals")
     inside = np.zeros((len(ideals), alg.n), dtype=bool)
     for row, i in zip(inside, ideals):
         row[np.fromiter(i, dtype=np.intp)] = True
-    # in a lawful finite algebra an MV ideal holds zero and is the downset
-    # of its largest member g, with g + g = g, and the member with the most
-    # elements below it is the only candidate for g; a row this misses can
-    # still be an ideal of tables that break the laws, so the closure test
-    # decides those
-    g = np.where(inside, alg.leq.sum(axis=0), -1).argmax(axis=1)
-    shaped = inside[:, alg.zero] & (alg.leq[:, g].T == inside).all(axis=1)
-    shaped &= alg.oplus[g, g] == g
-    if not all(is_mv_ideal(alg, ideals[r]) for r in np.flatnonzero(~shaped)):
-        raise AlgebraError("remainder solving needs MV ideals")
     if inside.all(axis=0).nonzero()[0].tolist() != [alg.zero]:
         raise AlgebraError("the ideals do not intersect to zero")
     # b is congruent to t modulo I when both b ominus t and t ominus b lie

@@ -53,7 +53,7 @@ class MvDualSpace:
     """
 
     def __init__(self, alg):
-        if not isinstance(alg, MvAlgebra):
+        if _is_chang(alg):
             raise AlgebraError("use ChangSpace for the symbolic carrier")
         self.algebra = alg
         self.lattice = alg.lattice_reduct()
@@ -192,9 +192,22 @@ class MvDualSpace:
         )
 
 
+def _is_chang(alg):
+    """Whether alg is the symbolic chain carrier rather than a finite
+    algebra; anything else is refused.  chang loads only off the finite
+    path."""
+    if isinstance(alg, MvAlgebra):
+        return False
+    from .chang import ChangAlgebra
+
+    if isinstance(alg, ChangAlgebra):
+        return True
+    raise AlgebraError(f"not an MV-algebra: {type(alg).__name__}")
+
+
 def build_dual_space(alg):
     """The dual space; the symbolic chain carrier gets its taxonomy space."""
-    if isinstance(alg, MvAlgebra):
+    if not _is_chang(alg):
         return MvDualSpace(alg)
     from .chang import ChangSpace
 
@@ -306,8 +319,8 @@ def kaplansky_check(a, b, node_budget=200_000):
     overrun is reported as its own verdict, never conflated with a negative
     answer.
     """
-    chang_a = not isinstance(a, MvAlgebra)
-    chang_b = not isinstance(b, MvAlgebra)
+    chang_a = _is_chang(a)
+    chang_b = _is_chang(b)
     if chang_a != chang_b:
         return VERDICT_INCOMPARABLE
     if chang_a:

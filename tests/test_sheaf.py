@@ -275,14 +275,9 @@ def test_crt_rejections():
         sh.crt_solve(alg, [KERN_FIRST], [1, 2])
 
 
-def test_crt_refuses_every_non_ideal(monkeypatch):
+def test_crt_refuses_every_non_ideal():
     # every subset of a relabelled L2 x L3, next to the zero ideal: an MV
-    # ideal (per the closure oracle) solves to zero without consulting that
-    # oracle, anything else is refused
-    oracle_calls = []
-    monkeypatch.setattr(
-        sh, "is_mv_ideal", lambda alg, s: oracle_calls.append(s) or is_mv_ideal(alg, s)
-    )
+    # ideal solves to zero, anything else is refused
     alg = relabelled(
         product(lukasiewicz_chain(2), lukasiewicz_chain(3)),
         np.random.default_rng(3).permutation(12),
@@ -293,14 +288,26 @@ def test_crt_refuses_every_non_ideal(monkeypatch):
         s = frozenset(a for a in range(alg.n) if mask >> a & 1)
         if is_mv_ideal(alg, s):
             ideals += 1
-            oracle_calls.clear()
             assert sh.crt_solve(alg, [zero, s], [alg.zero, alg.zero]) == alg.zero
-            assert not oracle_calls
         else:
             with pytest.raises(Error) as exc:
                 sh.crt_solve(alg, [zero, s], [alg.zero, alg.zero])
             assert str(exc.value) == "remainder solving needs MV ideals"
     assert ideals == 4  # the downsets of the four idempotents
+
+
+def test_crt_refuses_unclosed_downset_of_idempotent():
+    # L1 x L2 with (0,1) + (0,2) sent to (1,1): the order is unchanged and
+    # (0,2) + (0,2) = (0,2) still, but the downset {0, (0,1), (0,2)} of that
+    # idempotent is no longer closed under addition, so it is no MV ideal
+    good = product(lukasiewicz_chain(1), lukasiewicz_chain(2))
+    oplus = good.oplus.copy()
+    oplus[1, 2] = oplus[2, 1] = 4
+    alg = MvAlgebra(good.neg.copy(), oplus, validate=False)
+    assert (alg.leq == good.leq).all() and alg.oplus[2, 2] == 2
+    with pytest.raises(Error) as exc:
+        sh.crt_solve(alg, [frozenset({0, 1, 2}), frozenset({0, 3})], [0, 0])
+    assert str(exc.value) == "remainder solving needs MV ideals"
 
 
 def test_crt_messages_when_not_unique():

@@ -198,6 +198,20 @@ def test_kaplansky_verdicts():
     assert sp.kaplansky_check(ChangAlgebra(), ChangAlgebra()) == sp.VERDICT_HOMEOMORPHIC
 
 
+def test_foreign_objects_are_refused():
+    # only a finite MvAlgebra or the symbolic chain has a dual space
+    reduct = lukasiewicz_chain(2).lattice_reduct()
+    for call in (
+        lambda: sp.kaplansky_check(reduct, reduct),
+        lambda: sp.kaplansky_check(ChangAlgebra(), reduct),
+        lambda: sp.build_dual_space(reduct),
+        lambda: sp.MvDualSpace(reduct),
+    ):
+        with pytest.raises(Error) as exc:
+            call()
+        assert str(exc.value) == "not an MV-algebra: FiniteDistLattice"
+
+
 def test_kaplansky_budget_verdict():
     big = product(lukasiewicz_chain(5), lukasiewicz_chain(5))
     other = product(lukasiewicz_chain(5), lukasiewicz_chain(5))
