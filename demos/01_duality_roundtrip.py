@@ -21,12 +21,13 @@ alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
 lat = alg.lattice_reduct()
 print("carrier:", lat.n, "elements")
 
-# The dual poset: one point per prime lattice ideal.  For a product of two
-# chains this is two disjoint chains, one per factor.
-points = enumerate_prime_ideals(lat)
-print("prime ideals:", len(points))
-for p in points:
-    print("  ", sorted(lat.labels[i] for i in p.ideal))
+# The dual poset: one point per prime lattice ideal, each a boolean row
+# saying which elements the ideal holds.  For a product of two chains this
+# is two disjoint chains, one per factor.
+member = enumerate_prime_ideals(lat)
+print("prime ideals:", len(member))
+for row in member:
+    print("  ", sorted(lat.labels[i] for i in row.nonzero()[0]))
 
 # The Stone map sends an element to the set of points whose ideal omits it.
 # It is injective, and its image is exactly the downsets of the dual poset.

@@ -13,8 +13,9 @@ from mvspectra import build_dual_space, lukasiewicz_chain, product
 alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
 space = build_dual_space(alg)
 
-print("points:", len(space.points))
-for x in range(len(space.points)):
+# Each point is a boolean row of space.member: the elements of its ideal.
+print("points:", len(space.member))
+for x in range(len(space.member)):
     tags = []
     if x in space.y_set:
         tags.append("Y")

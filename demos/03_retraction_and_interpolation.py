@@ -16,10 +16,10 @@ space = build_dual_space(product(lukasiewicz_chain(3), lukasiewicz_chain(3)))
 # Three independent routes to the same map: the quantifier formula used to
 # build the table, a brute-force scan over all MV ideals, and a filter
 # difference computed in the ideal arithmetic.
-for x in range(len(space.points)):
+for x in range(len(space.member)):
     a = space.k_map(x)
     assert a == k_via_ideal_scan(space, x) == k_via_filter_difference(space, x)
-print("k:", {f"x{x}": f"x{int(space.k[x])}" for x in range(len(space.points))})
+print("k:", {f"x{x}": f"x{int(space.k[x])}" for x in range(len(space.member))})
 
 # k fixes exactly the MV points, and each fiber is the chain of points
 # retracting onto that MV point.
@@ -31,8 +31,8 @@ for y in space.y_points:
 leq = space.order.leq
 x, xp = next(
     (a, b)
-    for a in range(len(space.points))
-    for b in range(len(space.points))
+    for a in range(len(space.member))
+    for b in range(len(space.member))
     if a != b and leq[a, b]
 )
 w = interpolate(space, x, xp)

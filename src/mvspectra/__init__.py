@@ -21,7 +21,6 @@ _HOMES = {
     ),
     "idealarith": ("is_lattice_filter", "is_lattice_ideal", "ominus_bar", "oplus_bar"),
     "lattice": (
-        "DualSpacePoint",
         "FiniteDistLattice",
         "FinitePoset",
         "duality_roundtrip",

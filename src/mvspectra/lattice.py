@@ -8,6 +8,10 @@ closed sets are upsets, and continuity of a map is checkable by finite
 preimage identities.  That translation is used throughout without further
 comment.
 
+A point of the dual space is its boolean membership row, member[x, a]
+saying that a lies in the prime ideal of x; the dual order (row
+inclusion) and the Stone map (a column) are read off that matrix.
+
 congruence_of_subspace turns a subspace of the dual into the lattice
 congruence it induces; sheaf.py builds the stalks of both sheaf
 representations with it.  The tests hold it against a definitional
@@ -151,9 +155,10 @@ class FiniteDistLattice:
     """
 
     def __init__(self, leq, join, meet, labels=None, validate=True):
-        self.leq = np.array(leq, dtype=bool)
-        self.join = np.array(join, dtype=np.int64)
-        self.meet = np.array(meet, dtype=np.int64)
+        # asarray: a reduct shares its algebra's tables instead of copying
+        self.leq = np.asarray(leq, dtype=bool)
+        self.join = np.asarray(join, dtype=np.int64)
+        self.meet = np.asarray(meet, dtype=np.int64)
         self.n = int(self.leq.shape[0])
         self.labels = tuple(labels) if labels is not None else tuple(range(self.n))
         if self.join.shape != (self.n, self.n) or self.meet.shape != (self.n, self.n):
@@ -254,16 +259,12 @@ def _mask(bits):
 # -- dual space ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualSpacePoint:
-    """A point of the dual space: a prime ideal with its complementary filter."""
-
-    ideal: frozenset
-    filter: frozenset
-
-
-def _point_key(point):
-    return tuple(sorted(point.ideal))
+def membership_rows(n, sets):
+    """One boolean row over the carrier 0..n-1 per set of elements."""
+    rows = np.zeros((len(sets), n), dtype=bool)
+    for row, members in zip(rows, sets):
+        row[np.fromiter(members, dtype=np.intp)] = True
+    return rows
 
 
 def _closed_set(order, op, members):
@@ -328,53 +329,51 @@ def is_prime_ideal(lat, members):
     )
 
 
+def _canonical(rows):
+    """The rows in canonical order: ascending by their member tuples."""
+    keys = [tuple(np.flatnonzero(row).tolist()) for row in rows]
+    return rows[sorted(range(len(keys)), key=keys.__getitem__)]
+
+
 def enumerate_prime_ideals(lat):
-    """Dual-space points in the canonical (subset-lexicographic) order.
+    """The dual-space points as boolean membership rows in canonical order:
+    member[x, a] says that a lies in the prime ideal of point x.
 
     Fast path: the prime ideals of a finite distributive lattice are exactly
-    the sets {a : j not<= a} for j join-irreducible.  The brute-force scan
-    over all downsets lives in prime_ideals_bruteforce and is cross-checked
-    in the test suite.
+    the sets {a : j not<= a} for j join-irreducible, so each row is the
+    complement of a row of leq.  The brute-force scan over all downsets
+    lives in prime_ideals_bruteforce and is cross-checked in the test suite.
     """
-    all_elems = frozenset(range(lat.n))
-    pts = []
-    for j in lat.join_irreducibles:
-        ideal = frozenset(np.flatnonzero(~lat.leq[j, :]).tolist())
-        pts.append(DualSpacePoint(ideal=ideal, filter=all_elems - ideal))
-    return sorted(pts, key=_point_key)
+    return _canonical(~lat.leq[np.array(lat.join_irreducibles, dtype=np.intp)])
 
 
 def prime_ideals_bruteforce(lat, limit=2_000_000):
     """Oracle path: scan every downset of the carrier order."""
-    all_elems = frozenset(range(lat.n))
-    pts = []
+    rows = []
     for mask in lat.poset().downsets(limit=limit):
         members = frozenset(i for i in range(lat.n) if mask >> i & 1)
         if 0 < len(members) < lat.n and is_prime_ideal(lat, members):
-            pts.append(DualSpacePoint(ideal=members, filter=all_elems - members))
-    return sorted(pts, key=_point_key)
+            rows.append([i in members for i in range(lat.n)])
+    return _canonical(np.array(rows, dtype=bool).reshape(-1, lat.n))
 
 
-def stone_map(lat, a, points=None):
-    """The clopen downset of points whose ideal omits a, as a set of indices."""
-    if points is None:
-        points = enumerate_prime_ideals(lat)
-    return frozenset(x for x, p in enumerate(points) if a not in p.ideal)
+def stone_map(lat, a, member=None):
+    """The clopen downset of points whose ideal omits a, as a set of indices:
+    the complement of column a of the membership rows."""
+    if member is None:
+        member = enumerate_prime_ideals(lat)
+    return frozenset(np.flatnonzero(~member[:, a]).tolist())
 
 
-def dual_order(points):
-    """Specialization order on points: inclusion of ideals."""
-    n = len(points)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, p in enumerate(points):
-        for j, q in enumerate(points):
-            leq[i, j] = p.ideal <= q.ideal
-    return FinitePoset(leq)
+def dual_order(member):
+    """Specialization order on points: inclusion of ideals, x <= y when no
+    member of I_x lies outside I_y."""
+    return FinitePoset(~_bool_mm(member, ~member.T))
 
 
-def lattice_from_downsets(poset, limit=None):
+def lattice_from_downsets(poset):
     """The lattice of all downsets of a poset, labelled by those downsets."""
-    masks = sorted(poset.downsets(limit=limit), key=lambda m: (bin(m).count("1"), m))
+    masks = sorted(poset.downsets(), key=lambda m: (bin(m).count("1"), m))
     labels = [frozenset(k for k in range(poset.n) if m >> k & 1) for m in masks]
     if poset.n < 63:
         arr = np.array(masks, dtype=np.int64)
@@ -401,9 +400,10 @@ def lattice_from_downsets(poset, limit=None):
 
 @dataclass(frozen=True)
 class DualityWitness:
-    """Everything the round trip produced, for inspection and replay."""
+    """Everything the round trip produced, for inspection and replay;
+    points holds the membership rows of the dual space."""
 
-    points: tuple
+    points: np.ndarray
     poset: FinitePoset
     downset_lattice: FiniteDistLattice
     iso: tuple
@@ -415,13 +415,13 @@ def duality_roundtrip(lat):
     Raises NotDistributiveError (with witness) on nondistributive input.
     """
     lat.validate_distributive()
-    points = enumerate_prime_ideals(lat)
-    poset = dual_order(points)
+    member = enumerate_prime_ideals(lat)
+    poset = dual_order(member)
     dl = lattice_from_downsets(poset)
     index = {lab: i for i, lab in enumerate(dl.labels)}
     iso = []
     for a in range(lat.n):
-        img = stone_map(lat, a, points)
+        img = stone_map(lat, a, member)
         if img not in index:
             raise LatticeError(f"stone image of {a} is not a downset of the dual")
         iso.append(index[img])
@@ -435,7 +435,7 @@ def duality_roundtrip(lat):
     if int(iso[lat.bot]) != dl.bot or int(iso[lat.top]) != dl.top:
         raise LatticeError("stone map does not preserve bounds")
     return DualityWitness(
-        points=tuple(points), poset=poset, downset_lattice=dl, iso=tuple(int(i) for i in iso)
+        points=member, poset=poset, downset_lattice=dl, iso=tuple(int(i) for i in iso)
     )
 
 

@@ -18,6 +18,8 @@ from .errors import AlgebraError, CapExceeded
 
 # the JSON schema tag of every document the package reads or writes
 SCHEMA = "mv-spectra/1"
+# the largest carrier algebra_from_json builds, checked before allocation
+PRODUCT_CAP = 4096
 # the suites of verify.run_suite, here so that the CLI can offer them as
 # --suite choices without loading verify
 SUITE_NAMES = ("all", "plus", "k", "kaplansky", "sheaf-prime", "sheaf-maximal", "crt")
@@ -104,6 +106,11 @@ class MvAlgebra:
         return self.join == np.arange(self.n)[None, :]
 
     def lattice_reduct(self):
+        """The lattice reduct, built once; it shares leq, join and meet."""
+        return self._reduct
+
+    @cached_property
+    def _reduct(self):
         from .lattice import FiniteDistLattice
 
         return FiniteDistLattice(
@@ -157,7 +164,8 @@ def _chain_certificate(alg):
     if 2 ** len(atoms) > n:
         return False
     coords = [neg[oplus[neg, neg[e]]] for e in atoms]
-    chains = [np.unique(c) for c in coords]
+    # sorted distinct values; np.unique would load numpy.ma into every check
+    chains = [np.flatnonzero(np.bincount(c, minlength=n)) for c in coords]
     if math.prod(len(c) for c in chains) != n:
         return False
     digits, tops, weights = [], [], []
@@ -253,7 +261,7 @@ def lukasiewicz_chain(n):
     return MvAlgebra(n - idx, oplus, zero=0, labels=labels, validate=False)
 
 
-def product(a, b, cap=4096):
+def product(a, b, cap=PRODUCT_CAP):
     """Componentwise product; element (i, j) is i * b.n + j, labelled by
     the pair of factor labels."""
     n = a.n * b.n
@@ -398,12 +406,12 @@ def quotient(alg, ideal):
 # -- JSON ---------------------------------------------------------------------
 
 
-def algebra_from_json(data, product_cap=4096, validate=True):
+def algebra_from_json(data, validate=True):
     """Builds from {"kind": "lukasiewicz" | "product" | "tables" | "chang"}.
 
     validate only affects explicit tables; the named constructions are
-    correct by construction.  product_cap bounds the carrier of every chain
-    and product, checked before its tables are allocated.
+    correct by construction.  PRODUCT_CAP bounds the carrier of every chain,
+    product and table, checked before its tables are allocated.
     """
     if not isinstance(data, dict):
         raise AlgebraError("algebra JSON must be an object")
@@ -414,30 +422,27 @@ def algebra_from_json(data, product_cap=4096, validate=True):
         n = data.get("n")
         if type(n) is not int:  # exact type, as for table entries
             raise AlgebraError('lukasiewicz needs an integer "n"')
-        if n + 1 > product_cap:
-            raise CapExceeded(f"chain carrier {n + 1} exceeds cap {product_cap}")
+        if n + 1 > PRODUCT_CAP:
+            raise CapExceeded(f"chain carrier {n + 1} exceeds cap {PRODUCT_CAP}")
         return lukasiewicz_chain(n)
     if kind == "product":
         factors = data.get("factors")
         if not isinstance(factors, list) or len(factors) < 2:
             raise AlgebraError('product needs a list "factors" of length >= 2')
-        algs = [
-            algebra_from_json(f, product_cap=product_cap, validate=validate)
-            for f in factors
-        ]
+        algs = [algebra_from_json(f, validate=validate) for f in factors]
         if any(not isinstance(a, MvAlgebra) for a in algs):
             raise AlgebraError("product factors must be finite; chang is symbolic")
         out = algs[0]
         for nxt in algs[1:]:
-            out = product(out, nxt, cap=product_cap)
+            out = product(out, nxt)
         return out
     if kind == "tables":
         if "neg" not in data or "oplus" not in data:
             raise AlgebraError('tables needs "neg" and "oplus"')
         neg, oplus = data["neg"], data["oplus"]
         zero, labels = data.get("zero", 0), data.get("labels")
-        if isinstance(neg, list) and len(neg) > product_cap:
-            raise CapExceeded(f"tables carrier {len(neg)} exceeds cap {product_cap}")
+        if isinstance(neg, list) and len(neg) > PRODUCT_CAP:
+            raise CapExceeded(f"tables carrier {len(neg)} exceeds cap {PRODUCT_CAP}")
         if not _json_ints(neg):
             raise AlgebraError('tables "neg" must be a list of integers')
         if not isinstance(oplus, list) or not all(_json_ints(row) for row in oplus):

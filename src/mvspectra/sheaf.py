@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlgebraError, CapExceeded
-from .lattice import congruence_of_subspace
+from .lattice import congruence_of_subspace, membership_rows
 from .idealarith import oplus_bar
 from .mv import SCHEMA, ideal_congruent, is_mv_ideal
 from .spectrum import MvDualSpace
@@ -45,9 +45,10 @@ class Stalk:
 class EtaleInstance:
     """A decomposition of the dual space with its stalks tabulated.
 
-    base_points index into space.points; q maps every point of X to a
-    position in base_points; base_leq orders the positions; stalks align
-    with base_points.  base names the representation, if any.
+    base_points index the points of space, the rows of space.member; q
+    maps every point of X to a position in base_points; base_leq orders
+    the positions; stalks align with base_points.  base names the
+    representation, if any.
     """
 
     space: MvDualSpace
@@ -72,7 +73,7 @@ def germinal_ideal(space, z):
         raise AlgebraError("germinal ideals are indexed by maximal points")
     leq = space.order.leq
     below = [y for y in space.y_points if leq[y, z]]
-    return frozenset.intersection(*(space.points[y].ideal for y in below))
+    return frozenset(np.flatnonzero(space.member[below].all(axis=0)).tolist())
 
 
 def decomposition_sheaf(space, q, base_points, base_leq, base=None):
@@ -293,9 +294,7 @@ def crt_solve(alg, ideals, targets):
     for i in ideals:
         if not is_mv_ideal(alg, i):
             raise AlgebraError("remainder solving needs MV ideals")
-    inside = np.zeros((len(ideals), alg.n), dtype=bool)
-    for row, i in zip(inside, ideals):
-        row[np.fromiter(i, dtype=np.intp)] = True
+    inside = membership_rows(alg.n, ideals)
     if inside.all(axis=0).nonzero()[0].tolist() != [alg.zero]:
         raise AlgebraError("the ideals do not intersect to zero")
     # b is congruent to t modulo I when both b ominus t and t ominus b lie
@@ -329,22 +328,20 @@ def crt_term(alg, units, targets, space=None):
         raise AlgebraError("need matching nonempty unit and target lists")
     if space is None:
         space = MvDualSpace(alg)
-    y_ideals = [space.points[y].ideal for y in space.y_points]
-    patches = [
-        [iy for iy, ideal in enumerate(y_ideals) if u in ideal] for u in units
-    ]
-    covered = set().union(*(set(p) for p in patches))
-    if covered != set(range(len(y_ideals))):
+    # patch i is the MV points whose ideal holds u_i: column u_i of their rows
+    y_rows = space.member[list(space.y_points)]
+    patches = y_rows[:, units].T
+    if not patches.any(axis=0).all():
         raise AlgebraError("the unit patches do not cover the MV points")
+
+    def congruent(a, b, rows):  # modulo the ideal of every row
+        return bool((rows[:, alg.ominus[a, b]] & rows[:, alg.ominus[b, a]]).all())
+
     for i in range(len(units)):
         for j in range(i + 1, len(units)):
-            for iy in set(patches[i]) & set(patches[j]):
-                if not ideal_congruent(
-                    alg, targets[i], targets[j], y_ideals[iy]
-                ):
-                    raise AlgebraError(
-                        f"targets {i} and {j} disagree on a shared patch"
-                    )
+            shared = y_rows[patches[i] & patches[j]]
+            if not congruent(targets[i], targets[j], shared):
+                raise AlgebraError(f"targets {i} and {j} disagree on a shared patch")
 
     def drop(a, u, t):
         v = a
@@ -364,9 +361,7 @@ def crt_term(alg, units, targets, space=None):
         for i in range(len(units)):
             b = int(alg.join[b, drop(targets[i], units[i], t)])
         if all(
-            ideal_congruent(alg, b, targets[i], y_ideals[iy])
-            for i in range(len(units))
-            for iy in patches[i]
+            congruent(b, targets[i], y_rows[patches[i]]) for i in range(len(units))
         ):
             return t, b
         if towers_stable(t):
@@ -374,11 +369,10 @@ def crt_term(alg, units, targets, space=None):
         t += 1
 
 
-def difference_tower(alg, a, u, limit=None):
+def difference_tower(alg, a, u):
     """The chain a, a-u, a-2u, ... up to stabilization (at most |A| steps)."""
-    limit = alg.n if limit is None else limit
     seq = [a]
-    for _ in range(limit):
+    for _ in range(alg.n):
         nxt = int(alg.ominus[seq[-1], u])
         if nxt == seq[-1]:
             break

@@ -6,7 +6,9 @@ points), the retraction k: X -> Y, the retraction m: Y -> Z, and the zig-zag
 relation W whose quotient is carried by Z.  Topological language is read
 through the finite-scale convention documented in lattice.py: opens of the
 downset topology are downsets, and continuity claims become set identities
-over the basic family {a-hat}.
+over the basic family {a-hat}.  A point is its boolean membership row, so
+the points of a space are the rows of one matrix, member, and a-hat is the
+complement of its column a.
 
 Every prime ideal of the finite reduct is principal, I_x = down g_x, so the
 build is table arithmetic on the generators: + and the involution are
@@ -37,6 +39,8 @@ from .lattice import (
     dual_order,
     enumerate_prime_ideals,
     lattice_isomorphic,
+    membership_rows,
+    stone_map,
 )
 from .mv import SCHEMA, MvAlgebra, enumerate_mv_ideals, maximal_mv_ideals
 
@@ -44,12 +48,12 @@ from .mv import SCHEMA, MvAlgebra, enumerate_mv_ideals, maximal_mv_ideals
 class MvDualSpace:
     """The dual space of a finite MV-algebra, fully tabulated.
 
-    points are prime lattice ideals of the reduct in canonical order; order
-    is ideal inclusion.  involution is a permutation array; plus is an
-    integer table with -1 for undefined; k is a total array into y_points;
-    m maps y-point indices to z-point indices.  member[p, a] says whether
-    element a lies in the ideal of point p, so the basic set a-hat is the
-    complement of column a.
+    The points are the prime lattice ideals of the reduct in canonical
+    order, one boolean row each: member[x, a] says whether element a lies
+    in the ideal of point x, so the basic set a-hat is the complement of
+    column a.  order is ideal inclusion.  involution is a permutation array;
+    plus is an integer table with -1 for undefined; k is a total array into
+    y_points; m maps y-point indices to z-point indices.
     """
 
     def __init__(self, alg):
@@ -57,13 +61,9 @@ class MvDualSpace:
             raise AlgebraError("use ChangSpace for the symbolic carrier")
         self.algebra = alg
         self.lattice = alg.lattice_reduct()
-        self.points = tuple(enumerate_prime_ideals(self.lattice))
-        self.order = dual_order(self.points)
-        npts, n = len(self.points), alg.n
-        member = np.zeros((npts, n), dtype=bool)
-        for idx, pt in enumerate(self.points):
-            member[idx, sorted(pt.ideal)] = True
-        self.member = member
+        self.member = member = enumerate_prime_ideals(self.lattice)
+        self.order = dual_order(member)
+        npts, n = member.shape
 
         # every lattice ideal of a finite lattice is principal: its generator
         # is the member with the most elements below it
@@ -88,10 +88,10 @@ class MvDualSpace:
         diagonal = self.plus.diagonal()
         self.y_points = tuple(np.flatnonzero(diagonal == np.arange(npts)).tolist())
         self.y_set = frozenset(self.y_points)
-        maximal = frozenset(maximal_mv_ideals(alg))
-        self.z_points = tuple(
-            i for i in self.y_points if self.points[i].ideal in maximal
-        )
+        maximal = membership_rows(n, maximal_mv_ideals(alg))
+        ys = np.array(self.y_points, dtype=np.intp)
+        is_max = (member[ys][:, None] == maximal).all(axis=2).any(axis=1)
+        self.z_points = tuple(ys[is_max].tolist())
         self.z_set = frozenset(self.z_points)
         # k(x) is the largest MV-ideal J with I_x +bar J inside I_x: the
         # downset of the largest idempotent e with g_x + e = g_x
@@ -124,11 +124,11 @@ class MvDualSpace:
 
     @cached_property
     def mk(self):
-        return np.array([self.m[int(self.k[x])] for x in range(len(self.points))])
+        return np.array([self.m[v] for v in self.k.tolist()])
 
     def hat(self, a):
         """Indices of the points whose ideal omits a: the basic set of a."""
-        return frozenset(np.flatnonzero(~self.member[:, a]).tolist())
+        return stone_map(self.lattice, a, self.member)
 
     @cached_property
     def hat_to_element(self):
@@ -168,10 +168,10 @@ class MvDualSpace:
             "kind": "dual-space",
             "points": [
                 {
-                    "ideal": sorted(pt.ideal),
+                    "ideal": np.flatnonzero(row).tolist(),
                     "generator": self.point_label(x),
                 }
-                for x, pt in enumerate(self.points)
+                for x, row in enumerate(self.member)
             ],
             "order": [
                 [int(i), int(j)] for i, j in np.argwhere(self.order.leq)
@@ -186,7 +186,7 @@ class MvDualSpace:
 
     def to_dot(self, chang_bound=8):
         return self.order.to_dot(
-            labels=[self.point_label(x) for x in range(len(self.points))],
+            labels=[self.point_label(x) for x in range(len(self.member))],
             doublecircle=self.y_points,
             filled=self.z_points,
         )
@@ -235,14 +235,15 @@ def interpolate(space, x, xp):
 def k_via_ideal_scan(space, x):
     """Oracle route: the largest MV-ideal J with I_x +bar J inside I_x."""
     alg = space.algebra
-    ix = space.points[x].ideal
+    row = space.member[x]
+    ix = row.nonzero()[0]
     good = [
-        j for j in enumerate_mv_ideals(alg) if oplus_bar(alg, ix, j) <= ix
+        j for j in enumerate_mv_ideals(alg) if row[list(oplus_bar(alg, ix, j))].all()
     ]
     best = max(good, key=len)
     if any(not j <= best for j in good):
         raise AlgebraError("addable ideals have no largest member")
-    inside = np.isin(range(alg.n), list(best))
+    inside = membership_rows(alg.n, [best])[0]
     out = int(space._points_of(inside, "largest addable ideal"))
     if out not in space.y_set:
         raise AlgebraError("largest addable ideal is not an MV point")
@@ -252,9 +253,9 @@ def k_via_ideal_scan(space, x):
 def k_via_filter_difference(space, x):
     """Second route: the complement of F_x -bar I_x is the same point."""
     alg = space.algebra
-    pt = space.points[x]
-    upper = ominus_bar(alg, pt.filter, pt.ideal)
-    outside = ~np.isin(range(alg.n), list(upper))
+    row = space.member[x]
+    upper = ominus_bar(alg, (~row).nonzero()[0], row.nonzero()[0])
+    outside = ~membership_rows(alg.n, [upper])[0]
     return int(space._points_of(outside, "filter-difference complement"))
 
 

@@ -21,7 +21,7 @@ from .chang import ChangAlgebra, ChangIdeal, ChangSpace, RADICAL, TRUNC
 from .chang import ideal_oplus_bar as chang_oplus_bar
 from .errors import CapExceeded, Error
 from .idealarith import oplus_bar, oplus_bar_oracle
-from .lattice import _bool_mm, duality_roundtrip, transitive_closure
+from .lattice import _bool_mm, duality_roundtrip, membership_rows, transitive_closure
 from .mv import (
     SUITE_NAMES,
     check_axioms,
@@ -94,7 +94,7 @@ def _fail(message):
 def _check_involution_laws(ctx):
     s = ctx.space
     inv, leq = s.involution, s.order.leq
-    n = len(s.points)
+    n = len(s.member)
     if not (inv[inv] == np.arange(n)).all():
         _fail("involution is not an involution")
     if not (leq == leq[np.ix_(inv, inv)].T).all():
@@ -121,7 +121,7 @@ def _check_plus_associative(ctx):
     safe = np.where(dom, plus, 0)
     # one x at a time over the whole (y, z) table; the first failure in
     # (y, z) order is the one a scan of x, y, z in turn would report
-    for x in range(len(s.points)):
+    for x in range(len(s.member)):
         xy = safe[x]
         left = plus[xy]  # (x + y) + z, read where x + y is defined
         right = plus[x, safe]  # x + (y + z), read where y + z is defined
@@ -142,7 +142,7 @@ def _check_plus_translation(ctx):
     safe = np.where(dom, plus, 0)
     # rows y2, columns y1 <= y2, one x at a time; the first failure in
     # (y2, y1) order is the one a scan of x, y2, y1 in turn would report
-    for x in range(len(s.points)):
+    for x in range(len(s.member)):
         below = dom[x][:, None] & leq.T
         gap = below & ~dom[x][None, :]
         bad = gap | (below & ~leq[safe[x][None, :], safe[x][:, None]])
@@ -156,14 +156,14 @@ def _check_plus_translation(ctx):
 def _check_plus_idempotents(ctx):
     s = ctx.space
     diag = s.plus.diagonal()
-    n = len(s.points)
+    n = len(s.member)
     leq = s.order.leq
     below = frozenset(
         x for x in range(n) if diag[x] >= 0 and leq[diag[x], x]
     )
     equal = frozenset(x for x in range(n) if diag[x] == x)
     mv = frozenset(
-        x for x in range(n) if is_mv_ideal(s.algebra, s.points[x].ideal)
+        x for x, row in enumerate(s.member) if is_mv_ideal(s.algebra, row.nonzero()[0])
     )
     if not (below == equal == mv == s.y_set):
         _fail("idempotent characterizations of the MV points disagree")
@@ -191,7 +191,7 @@ def _check_plus_continuity(ctx):
 
 def _check_plus_domain(ctx):
     s = ctx.space
-    n = len(s.points)
+    n = len(s.member)
     leq = s.order.leq
     dom = s.plus >= 0
     by_inv = leq[np.arange(n)[None, :], s.involution[:, None]]
@@ -207,16 +207,18 @@ def _check_plus_domain(ctx):
 def _check_plus_matches_ideal_sums(ctx):
     s = ctx.space
     alg = s.algebra
-    n = len(s.points)
+    # the oracle takes and returns sets: one per point, built once
+    ideals = [frozenset(row.nonzero()[0].tolist()) for row in s.member]
+    n = len(ideals)
     # pairwise sums commute, so I_x oplus_bar I_y serves both table entries
     for x in range(n):
         for y in range(x, n):
-            direct = oplus_bar_oracle(alg, s.points[x].ideal, s.points[y].ideal)
+            direct = oplus_bar_oracle(alg, ideals[x], ideals[y])
             for a, b in ((x, y), (y, x)):
                 if s.plus[a, b] < 0:
                     if alg.one not in direct:
                         _fail(f"({a}, {b}) undefined but the ideal sum is proper")
-                elif direct != s.points[s.plus[a, b]].ideal:
+                elif direct != ideals[s.plus[a, b]]:
                     _fail(f"table sum at ({a}, {b}) differs from the ideal sum")
 
 
@@ -225,7 +227,7 @@ def _check_plus_matches_ideal_sums(ctx):
 
 def _check_k_routes(ctx):
     s = ctx.space
-    for x in range(len(s.points)):
+    for x in range(len(s.member)):
         a = int(s.k[x])
         b = k_via_ideal_scan(s, x)
         c = k_via_filter_difference(s, x)
@@ -235,7 +237,7 @@ def _check_k_routes(ctx):
 
 def _check_k_fixes_y(ctx):
     s = ctx.space
-    for x in range(len(s.points)):
+    for x in range(len(s.member)):
         if (int(s.k[x]) == x) != (x in s.y_set):
             _fail(f"k fixed-point mismatch at {x}")
         if int(s.k[x]) not in s.y_set:
@@ -245,7 +247,7 @@ def _check_k_fixes_y(ctx):
 def _check_k_fibers(ctx):
     s = ctx.space
     leq = s.order.leq
-    n = len(s.points)
+    n = len(s.member)
     seen = set()
     for y in s.y_points:
         fib = s.fiber(y)
@@ -317,7 +319,7 @@ def _check_w_lawful(ctx):
     for block in w_quotient(s).classes:
         # finite homeomorphism certificate: the class preimage of each basic
         # open of Z is simultaneously a downset and an upset of X
-        inside = np.isin(np.arange(len(s.points)), list(block))
+        inside = membership_rows(len(s.member), [block])[0]
         if leq[np.ix_(inside, ~inside)].any() or leq[np.ix_(~inside, inside)].any():
             _fail("a zig-zag class is not order-isolated")
     z = list(s.z_points)
@@ -372,8 +374,9 @@ def _check_patch_roundtrip(ctx):
     ys = s.y_points
     hoods = [[i for i, v in enumerate(ys) if leq[y, v]] for y in ys]
     cover = [[ys[i] for i in hood] for hood in hoods]
+    ideals = [s.member[v].nonzero()[0] for v in ys]
     for b in range(alg.n):
-        classes = np.array([congruence_class(alg, b, s.points[v].ideal) for v in ys])
+        classes = np.array([congruence_class(alg, b, ideal) for ideal in ideals])
         # the first element congruent to b modulo every ideal over the hood
         downs = [s.hat(int(np.argmax(classes[hood].all(axis=0)))) for hood in hoods]
         res = check_property_p(s, BASE_PRIME, cover, downs)
@@ -397,15 +400,13 @@ def _check_germinal(ctx):
     s = ctx.space
     for z in s.z_points:
         germ = germinal_ideal(s, z)
-        if germ != s.points[z].ideal:
+        if germ != frozenset(s.member[z].nonzero()[0].tolist()):
             _fail(
                 "finite algebras have no non-maximal MV points, so the "
                 f"germinal ideal at {z} must be its own ideal"
             )
-        carved = [
-            x for x in range(len(s.points)) if germ <= s.points[s.k[x]].ideal
-        ]
-        if carved != np.flatnonzero(s.mk == z).tolist():
+        carved = s.member[s.k][:, sorted(germ)].all(axis=1)  # germ inside I_k(x)
+        if (carved != (s.mk == z)).any():
             _fail(f"germinal subspace at {z} differs from its m.k fiber")
 
 
@@ -419,7 +420,7 @@ def _check_maximal_fibers(ctx):
     s = ctx.space
     comps = s.order.order_components()
     fibers = {}
-    for x in range(len(s.points)):
+    for x in range(len(s.member)):
         fibers.setdefault(int(s.mk[x]), set()).add(x)
     if sorted(map(frozenset, fibers.values()), key=min) != sorted(comps, key=min):
         _fail("m.k fibers differ from the order components")
@@ -469,7 +470,7 @@ def _check_crt_term(ctx):
     s = ctx.space
     rng = np.random.default_rng(ctx.seed + 1)
     units = [int(s.generators[z]) for z in s.z_points]
-    ideals = [s.points[z].ideal for z in s.z_points]
+    ideals = [frozenset(s.member[z].nonzero()[0].tolist()) for z in s.z_points]
     for trial in range(min(ctx.crt_count, 50)):
         planted = int(rng.integers(alg.n))
         targets = [_congruent_pick(alg, rng, planted, ideal) for ideal in ideals]

@@ -55,6 +55,16 @@ def relabelled(alg, perm, validate=True):
     )
 
 
+def ideal_sets(member):
+    """The ideal of each boolean membership row, as a frozenset."""
+    return [frozenset(np.flatnonzero(row).tolist()) for row in member]
+
+
+def point_ideal(space, x):
+    """The ideal of point x of a finite dual space, as a frozenset."""
+    return frozenset(np.flatnonzero(space.member[x]).tolist())
+
+
 def poset_from_pairs(n, pairs):
     """Poset from generating pairs (i, j) meaning i <= j; closure is taken."""
     rel = np.zeros((n, n), dtype=bool)

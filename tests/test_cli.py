@@ -1,5 +1,6 @@
 """End-to-end command tests through main(), no subprocesses."""
 
+import hashlib
 import io
 import json
 import time
@@ -115,6 +116,37 @@ def test_spectrum_formats():
     assert code == 0 and dot.startswith("digraph")
     code, text = run(["spectrum", "--input", CHANG])
     assert code == 0 and "symbolic chain space" in text
+
+
+def _relabelled_l2xl3_tables():
+    # relabelling moves the canonical point order: here the generators come
+    # out as (1,3), (2,2), (0,3), (2,1), (2,0) instead of (0,3), (1,3), ...
+    perm = [5, 11, 0, 7, 2, 9, 4, 1, 10, 3, 8, 6]
+    alg = relabelled(product(lukasiewicz_chain(2), lukasiewicz_chain(3)), perm)
+    return json.dumps(algebra_to_json(alg))
+
+
+# the sha256 of spectrum --format json stdout, which holds every point
+# index, ideal, order pair and table entry
+PINNED_SPECTRA = {
+    "L1xL2": (
+        '{"kind":"product","factors":[{"kind":"lukasiewicz","n":1},'
+        '{"kind":"lukasiewicz","n":2}]}',
+        "92d904d7e416c5dd214f7ff8db53ffd0c3b4e92f6c86ea40e3d32d6634d419a0",
+    ),
+    "relabelled-L2xL3-tables": (
+        _relabelled_l2xl3_tables(),
+        "d39f809f5d2c8f909b380d06eb205b612390a1e70934121a99b8d1751791a878",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECTRA))
+def test_spectrum_json_bytes_are_pinned(name):
+    raw, sha256 = PINNED_SPECTRA[name]
+    code, text = run(["spectrum", "--input", raw, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_spectrum_carrier_cap(capsys):

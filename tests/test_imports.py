@@ -67,6 +67,20 @@ def test_each_command_loads_only_its_layers(argv, code, expected):
     assert loaded_modules(body) == expected
 
 
+@pytest.mark.parametrize(
+    "raw, code", [(PROD, 0), (BROKEN, 1)], ids=["accepts", "rejects"]
+)
+def test_check_does_not_load_numpy_ma(raw, code):
+    # numpy.ma costs every check process an import; np.unique pulls it in
+    body = (
+        "import io\nfrom mvspectra.cli import main\n"
+        f"assert main(['check', '--input', {raw!r}, '--format', 'json'],"
+        f" out=io.StringIO()) == {code}\n"
+        "assert 'numpy.ma' not in sys.modules, 'check loaded numpy.ma'"
+    )
+    assert loaded_modules(body) == CHECK
+
+
 def test_reading_an_algebra_loads_only_the_algebra_layer():
     body = (
         "from mvspectra import algebra_from_json\n"

@@ -20,6 +20,7 @@ from mvspectra.lattice import (
     dual_order,
     duality_roundtrip,
     enumerate_prime_ideals,
+    is_lattice_filter,
     is_prime_ideal,
     lattice_from_downsets,
     lattice_isomorphic,
@@ -29,7 +30,7 @@ from mvspectra.lattice import (
     transitive_closure,
 )
 
-from conftest import lattice_from_leq, poset_from_pairs
+from conftest import ideal_sets, lattice_from_leq, poset_from_pairs
 
 
 def boolean_2x2():
@@ -163,22 +164,22 @@ def test_bool_mm_counts_past_the_byte_range():
 
 
 def test_two_element_lattice_single_point():
-    pts = enumerate_prime_ideals(FiniteDistLattice.chain(2))
-    assert len(pts) == 1
-    assert pts[0].ideal == frozenset({0})
-    assert pts[0].filter == frozenset({1})
+    member = enumerate_prime_ideals(FiniteDistLattice.chain(2))
+    assert len(member) == 1
+    assert ideal_sets(member) == [frozenset({0})]
+    assert ideal_sets(~member) == [frozenset({1})]  # the complementary filter
 
 
 def test_three_chain_two_points():
-    pts = enumerate_prime_ideals(FiniteDistLattice.chain(3))
-    assert [p.ideal for p in pts] == [frozenset({0}), frozenset({0, 1})]
+    member = enumerate_prime_ideals(FiniteDistLattice.chain(3))
+    assert ideal_sets(member) == [frozenset({0}), frozenset({0, 1})]
 
 
 def test_boolean_2x2_dual_is_antichain():
     lat = boolean_2x2()
-    pts = enumerate_prime_ideals(lat)
-    assert len(pts) == 2
-    p = dual_order(pts)
+    member = enumerate_prime_ideals(lat)
+    assert len(member) == 2
+    p = dual_order(member)
     assert not p.leq[0, 1] and not p.leq[1, 0]
 
 
@@ -188,16 +189,17 @@ def test_prime_ideal_routes_agree(seed):
     lat = lattice_from_downsets(random_poset(rng, 5))
     fast = enumerate_prime_ideals(lat)
     slow = prime_ideals_bruteforce(lat)
-    assert fast == slow
-    for p in fast:
-        assert is_prime_ideal(lat, p.ideal)
-        assert p.filter == frozenset(range(lat.n)) - p.ideal
+    assert fast.shape == slow.shape and (fast == slow).all()
+    for row in fast:
+        assert is_prime_ideal(lat, row.nonzero()[0].tolist())
+        assert is_lattice_filter(lat, (~row).nonzero()[0])
 
 
 def test_stone_map_is_embedding():
     lat = boolean_2x2()
-    pts = enumerate_prime_ideals(lat)
-    images = [stone_map(lat, a, pts) for a in range(lat.n)]
+    member = enumerate_prime_ideals(lat)
+    images = [stone_map(lat, a, member) for a in range(lat.n)]
+    assert images == [stone_map(lat, a) for a in range(lat.n)]
     assert len(set(images)) == lat.n
     for a in range(lat.n):
         for b in range(lat.n):
@@ -264,11 +266,6 @@ def congruence_oracle(lat, pairs):
     return frozenset(theta)
 
 
-def membership(lat, pts):
-    """member[x, a]: element a lies in the ideal of point x."""
-    return np.array([[a in p.ideal for a in range(lat.n)] for p in pts])
-
-
 def subspace_congruence(member, sub):
     """The pair set of congruence_of_subspace on the points in sub."""
     cls = congruence_of_subspace(member[sorted(sub)])
@@ -278,12 +275,10 @@ def subspace_congruence(member, sub):
     )
 
 
-def closed_subspace(pts, theta):
+def closed_subspace(member, theta):
     """Points whose ideal cannot tell theta-related elements apart."""
     return frozenset(
-        x
-        for x, p in enumerate(pts)
-        if all((a in p.ideal) == (b in p.ideal) for a, b in theta)
+        x for x, row in enumerate(member) if all(row[a] == row[b] for a, b in theta)
     )
 
 
@@ -293,12 +288,12 @@ def test_congruence_closure_matches_oracle(seed):
     # induced by the points that separate none of them
     rng = random.Random(seed)
     lat = lattice_from_downsets(random_poset(rng, 4))
-    pts = enumerate_prime_ideals(lat)
+    member = enumerate_prime_ideals(lat)
     pairs = [
         (rng.randrange(lat.n), rng.randrange(lat.n))
         for _ in range(rng.randint(1, 3))
     ]
-    theta = subspace_congruence(membership(lat, pts), closed_subspace(pts, pairs))
+    theta = subspace_congruence(member, closed_subspace(member, pairs))
     assert theta == congruence_oracle(lat, pairs)
 
 
@@ -306,30 +301,28 @@ def test_galois_connection_laws():
     rng = random.Random(23)
     for _ in range(8):
         lat = lattice_from_downsets(random_poset(rng, 4))
-        pts = enumerate_prime_ideals(lat)
-        member = membership(lat, pts)
+        member = enumerate_prime_ideals(lat)
         # congruences are exactly the Galois-closed relations
         theta = congruence_oracle(
             lat, [(rng.randrange(lat.n), rng.randrange(lat.n)) for _ in range(2)]
         )
-        assert subspace_congruence(member, closed_subspace(pts, theta)) == theta
+        assert subspace_congruence(member, closed_subspace(member, theta)) == theta
         # arbitrary reflexive-symmetric relations need not be closed,
         # but subspaces always are
         for _ in range(4):
             sub = frozenset(
-                x for x in range(len(pts)) if rng.random() < 0.5
+                x for x in range(len(member)) if rng.random() < 0.5
             )
             theta_s = subspace_congruence(member, sub)
             assert congruence_oracle(lat, theta_s) == theta_s
-            s2 = closed_subspace(pts, theta_s)
+            s2 = closed_subspace(member, theta_s)
             assert sub <= s2
             assert subspace_congruence(member, s2) == theta_s
 
 
 def test_subspace_classes_are_numbered_by_first_occurrence():
     lat = FiniteDistLattice.chain(4)
-    pts = enumerate_prime_ideals(lat)  # ideals {0}, {0, 1}, {0, 1, 2}
-    member = membership(lat, pts)
+    member = enumerate_prime_ideals(lat)  # ideals {0}, {0, 1}, {0, 1, 2}
     assert congruence_of_subspace(member[[1]]).tolist() == [0, 0, 1, 1]
     assert congruence_of_subspace(member).tolist() == [0, 1, 2, 3]
     assert congruence_of_subspace(member[[]]).tolist() == [0, 0, 0, 0]
@@ -337,12 +330,12 @@ def test_subspace_classes_are_numbered_by_first_occurrence():
 
 def test_non_congruence_is_not_galois_closed():
     lat = FiniteDistLattice.chain(4)
-    pts = enumerate_prime_ideals(lat)
+    member = enumerate_prime_ideals(lat)
     # relating the ends of a chain without the middle is not a congruence
     theta = frozenset({(a, a) for a in range(4)} | {(0, 3), (3, 0)})
     assert congruence_oracle(lat, theta) != theta
-    s = closed_subspace(pts, theta)
-    assert subspace_congruence(membership(lat, pts), s) != theta
+    s = closed_subspace(member, theta)
+    assert subspace_congruence(member, s) != theta
 
 
 # -- isomorphism search ----------------------------------------------------------

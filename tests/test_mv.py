@@ -34,7 +34,7 @@ from mvspectra.mv import (
 from mvspectra.chang import ChangAlgebra
 from mvspectra.spectrum import MvDualSpace
 
-from conftest import relabelled
+from conftest import point_ideal, relabelled
 
 
 # ---------------------------------------------------------------- oracles
@@ -359,7 +359,7 @@ def test_ideal_generated_by_one_is_whole():
 def y_ideals(alg):
     """The ideals of the prime MV points of the dual space, in point order."""
     space = MvDualSpace(alg)
-    return [space.points[y].ideal for y in space.y_points]
+    return [point_ideal(space, y) for y in space.y_points]
 
 
 def test_y_points_are_the_prime_mv_ideals(family):
@@ -557,3 +557,11 @@ def test_fuzzed_tables_json_builds_or_raises_algebra_error(data, validate):
     except AlgebraError:
         return
     assert isinstance(alg, MvAlgebra)
+
+
+def test_reduct_is_built_once_and_shares_the_tables():
+    alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
+    lat = alg.lattice_reduct()
+    assert alg.lattice_reduct() is lat
+    for name in ("leq", "join", "meet"):
+        assert np.shares_memory(getattr(lat, name), getattr(alg, name)), name

@@ -21,7 +21,7 @@ from mvspectra.mv import (
 )
 from mvspectra.verify import run_suite
 
-from conftest import relabelled
+from conftest import point_ideal, relabelled
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def prod_space():
 
 
 def y_by_ideal(space, ideal):
-    hits = [y for y in space.y_points if space.points[y].ideal == frozenset(ideal)]
+    hits = [y for y in space.y_points if point_ideal(space, y) == frozenset(ideal)]
     assert len(hits) == 1
     return hits[0]
 
@@ -64,7 +64,7 @@ def test_stalks_are_the_mv_quotients(family):
         for base in (sh.BASE_PRIME, sh.BASE_MAXIMAL):
             for st in sh.build_etale(space, base).stalks:
                 want = (
-                    space.points[st.point].ideal
+                    point_ideal(space, st.point)
                     if base == sh.BASE_PRIME
                     else sh.germinal_ideal(space, st.point)
                 )
@@ -85,9 +85,9 @@ def test_maximal_bundle_matches_prime_here(prod_space):
 
 def test_germinal_ideals(prod_space):
     for z in prod_space.z_points:
-        assert sh.germinal_ideal(prod_space, z) == prod_space.points[z].ideal
+        assert sh.germinal_ideal(prod_space, z) == point_ideal(prod_space, z)
     non_max = next(
-        x for x in range(len(prod_space.points)) if x not in prod_space.z_set
+        x for x in range(len(prod_space.member)) if x not in prod_space.z_set
     )
     with pytest.raises(Error):
         sh.germinal_ideal(prod_space, non_max)
@@ -107,7 +107,7 @@ def test_identity_decomposition_has_one_section_per_element(factors):
     for n in factors[1:]:
         alg = product(alg, lukasiewicz_chain(n))
     space = sp.build_dual_space(alg)
-    npts = len(space.points)
+    npts = len(space.member)
     leq = space.order.leq
     inst = sh.decomposition_sheaf(space, np.arange(npts), range(npts), leq)
     assert not (leq == np.eye(npts, dtype=bool)).all()
@@ -161,13 +161,13 @@ def test_patch_detects_incompatible_sets(prod_space):
     assert not res.ok
     l, m, witness = res.violation
     assert {l, m} == {0, 1}
-    assert 0 <= witness < len(prod_space.points)
+    assert 0 <= witness < len(prod_space.member)
 
 
 def test_patch_input_validation(prod_space):
     y1 = y_by_ideal(prod_space, KERN_FIRST)
     non_base = next(
-        x for x in range(len(prod_space.points)) if x not in prod_space.y_set
+        x for x in range(len(prod_space.member)) if x not in prod_space.y_set
     )
     with pytest.raises(Error):  # does not cover the base
         sh.check_property_p(prod_space, sh.BASE_PRIME, [[y1]], [prod_space.hat(0)])
@@ -352,7 +352,7 @@ def test_crt_term_least(prod_space):
     alg = prod_space.algebra
     units, targets = [3, 8], [11, 0]
     t, b = sh.crt_term(alg, units, targets, space=prod_space)
-    y_ideals = {y: prod_space.points[y].ideal for y in prod_space.y_points}
+    y_ideals = {y: point_ideal(prod_space, y) for y in prod_space.y_points}
     patches = [
         [y for y in prod_space.y_points if u in y_ideals[y]] for u in units
     ]
@@ -389,7 +389,7 @@ def test_crt_term_agrees_with_scan(small_family):
     for label, alg in small_family.items():
         space = sp.build_dual_space(alg)
         units = [int(space.generators[z]) for z in space.z_points]
-        ideals = [space.points[z].ideal for z in space.z_points]
+        ideals = [point_ideal(space, z) for z in space.z_points]
         for _ in range(20):
             planted = int(rng.integers(alg.n))
             targets = [
@@ -425,9 +425,9 @@ def test_difference_tower_shape(small_family):
 
 def _tower_sets_by_comprehension(space, a, u):
     """The three sandwich sets, one point at a time."""
-    npts = len(space.points)
+    npts = len(space.member)
     useen = frozenset(
-        x for x in range(npts) if u in space.points[int(space.k[x])].ideal
+        x for x in range(npts) if u in point_ideal(space, int(space.k[x]))
     )
     seq = sh.difference_tower(space.algebra, a, u)
     mid = frozenset.intersection(*(space.hat(v) for v in seq))

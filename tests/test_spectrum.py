@@ -20,11 +20,12 @@ from mvspectra.idealarith import oplus_bar_oracle
 from mvspectra.mv import MvAlgebra, is_maximal_mv_ideal, lukasiewicz_chain, product
 from mvspectra.verify import run_suite
 
-from conftest import relabelled
+from conftest import ideal_sets, point_ideal, relabelled
 
 
 def point_of(space, ideal):
-    hits = [i for i, p in enumerate(space.points) if p.ideal == frozenset(ideal)]
+    want = frozenset(ideal)
+    hits = [i for i, got in enumerate(ideal_sets(space.member)) if got == want]
     assert len(hits) == 1
     return hits[0]
 
@@ -41,7 +42,7 @@ def all_pass(alg, suite, **kw):
 
 def test_three_chain_space_pinned():
     space = sp.build_dual_space(lukasiewicz_chain(2))
-    assert len(space.points) == 2
+    assert len(space.member) == 2
     x1 = point_of(space, {0})
     x2 = point_of(space, {0, 1})
     leq = space.order.leq
@@ -67,7 +68,7 @@ def test_three_chain_space_pinned():
 def test_boolean_spaces_are_discrete():
     for alg in (lukasiewicz_chain(1), product(lukasiewicz_chain(1), lukasiewicz_chain(1))):
         space = sp.build_dual_space(alg)
-        n = len(space.points)
+        n = len(space.member)
         assert (space.involution == np.arange(n)).all()
         assert (sp.w_relation(space) == np.eye(n, dtype=bool)).all()
         quot = sp.w_quotient(space)
@@ -79,10 +80,10 @@ def test_boolean_spaces_are_discrete():
 def test_product_space_two_components():
     a, b = lukasiewicz_chain(2), lukasiewicz_chain(3)
     space = sp.build_dual_space(product(a, b))
-    assert len(space.points) == 5
+    assert len(space.member) == 5
     kern_first = frozenset(range(b.n))          # {0} x second factor
     kern_second = frozenset(range(0, a.n * b.n, b.n))  # first factor x {0}
-    y_ideals = {space.points[y].ideal for y in space.y_points}
+    y_ideals = {point_ideal(space, y) for y in space.y_points}
     assert y_ideals == {kern_first, kern_second}
     assert set(space.y_points) == set(space.z_points)
     assert all(space.m_map(y) == y for y in space.y_points)
@@ -129,27 +130,28 @@ def test_z_points_match_the_maximality_oracle(family):
         assert space.z_points == tuple(
             y
             for y in space.y_points
-            if is_maximal_mv_ideal(alg, space.points[y].ideal)
+            if is_maximal_mv_ideal(alg, point_ideal(space, y))
         ), label
 
 
 def test_plus_table_matches_fixpoint_sums(small_family):
     for label, alg in small_family.items():
         space = sp.build_dual_space(alg)
-        for x, px in enumerate(space.points):
-            for y, py in enumerate(space.points):
-                direct = oplus_bar_oracle(alg, px.ideal, py.ideal)
+        ideals = ideal_sets(space.member)
+        for x, px in enumerate(ideals):
+            for y, py in enumerate(ideals):
+                direct = oplus_bar_oracle(alg, px, py)
                 got = space.partial_plus(x, y)
                 if got is None:
                     assert alg.one in direct
                 else:
-                    assert space.points[got].ideal == direct
+                    assert ideals[got] == direct
 
 
 def test_k_routes_and_fixed_points(small_family):
     for label, alg in small_family.items():
         space = sp.build_dual_space(alg)
-        for x in range(len(space.points)):
+        for x in range(len(space.member)):
             kx = space.k_map(x)
             assert kx == sp.k_via_ideal_scan(space, x)
             assert kx == sp.k_via_filter_difference(space, x)
@@ -181,7 +183,7 @@ def test_hat_map_is_a_downset_bijection(small_family):
                 assert set(below) <= h
         assert len(seen) == alg.n
         assert space.hat(alg.zero) == frozenset()
-        assert space.hat(alg.one) == frozenset(range(len(space.points)))
+        assert space.hat(alg.one) == frozenset(range(len(space.member)))
 
 
 # -- comparison verdicts ---------------------------------------------------------
@@ -231,7 +233,7 @@ def assert_closed_forms(lengths):
     for n in lengths[1:]:
         alg = product(alg, lukasiewicz_chain(n))
     space = sp.MvDualSpace(alg)
-    assert len(space.points) == sum(lengths)
+    assert len(space.member) == sum(lengths)
     assert len(space.y_points) == len(space.z_points) == len(lengths)
     assert len(alg.idempotents) == 2 ** len(lengths)
     t = space.order.leq.sum(axis=0) - 1
@@ -336,7 +338,7 @@ def test_relabelling_invariance(case):
     alg, perm = case
     pair = (alg, relabelled(alg, perm))
     sizes = [
-        (len(s.points), len(s.y_points), len(s.z_points), int((s.plus >= 0).sum()))
+        (len(s.member), len(s.y_points), len(s.z_points), int((s.plus >= 0).sum()))
         for s in map(sp.build_dual_space, pair)
     ]
     assert sizes[0] == sizes[1]

@@ -179,7 +179,7 @@ def _mutated(space, rng, trial):
     named; or the involution permuted with the domain of + set to its
     involution description, so that downward closure is what breaks."""
     s = copy.copy(space)
-    npts = len(space.points)
+    npts = len(space.member)
     plus = space.plus.copy()
     if trial % 3 == 0:
         for _ in range(3):
@@ -209,7 +209,7 @@ def test_plus_rows_name_the_reference_witness():
         space = REAL_SPACE(alg)
         for check, reference in rows:
             assert _row_message(check, space) is None is reference(space)
-        rng = np.random.default_rng(len(space.points))
+        rng = np.random.default_rng(len(space.member))
         for trial in range(90):
             s = _mutated(space, rng, trial)
             for check, reference in rows:
