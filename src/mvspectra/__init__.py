@@ -9,7 +9,7 @@ import importlib
 
 # home module -> the public names it provides; each name is listed once
 _HOMES = {
-    "chang": ("ChangAlgebra", "ChangFilter", "ChangIdeal", "ChangSpace"),
+    "chang": ("ChangAlgebra", "ChangIdeal", "ChangSpace"),
     "errors": (
         "AlgebraError",
         "CapExceeded",

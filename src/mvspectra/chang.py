@@ -4,12 +4,14 @@ Elements are fin(k), infinitesimals stacked above zero, and cofin(k),
 co-infinitesimals stacked below one, with fin(k) < cofin(j) for all k, j.
 The whole algebra embeds in the lexicographic plane (fin k = (0, k),
 cofin k = (1, -k), truncated addition below (1, 0)), which is the model
-the test oracles use.  Here the operations are closed forms on tags.
+the test oracles use.
 
-Everything about this algebra that the rest of the package consumes is
-symbolic: ideals and filters come in four respectively three families, the
-dual space is a chain of tagged points, and quantifiers over the carrier
-are run over bounded windows.
+Here an element is the integer pair (tag, k), fin k = (0, k) and
+cofin k = (1, k), and an ideal the pair (family, param) of one of four
+families.  Each operation has one closed form, numpy code on integer arrays
+(the *_pairs functions): the scalar methods call it on one pair, and the
+bounded checks, which run the quantifiers over the infinite carrier on
+bounded windows, call it on whole windows.
 """
 
 from __future__ import annotations
@@ -21,21 +23,90 @@ import numpy as np
 from .errors import AlgebraError
 from .mv import SCHEMA, AxiomViolation
 
-FIN = "fin"
-COFIN = "cofin"
+FIN, COFIN = 0, 1
+TRUNC, RADICAL, COFINITE, FULL = 0, 1, 2, 3
+# window arrays hold indices up to top = 8 * bound + 8 and sums up to 2 * top:
+# 2,064 at the CLI's bound cap of 128
+WINDOW_DTYPE = np.int16
+
+
+# -- the closed forms, on integer arrays -----------------------------------------
+
+
+def neg_pairs(t, k):
+    """Negation swaps the tiers: neg fin(k) = cofin(k)."""
+    return 1 - t, k
+
+
+def oplus_pairs(t, k, u, j):
+    """fin(k) + fin(j) = fin(k + j); fin(k) + cofin(j) = cofin(max(j - k, 0));
+    cofin + cofin = cofin(0), the unit."""
+    tiers = t + u
+    mixed = np.maximum(np.where(t == COFIN, k - j, j - k), 0)
+    return np.minimum(tiers, 1), np.where(tiers == 0, k + j, np.where(tiers == 1, mixed, 0))
+
+
+def leq_pairs(t, k, u, j):
+    """The chain order: lower tiers first, indices ascending in tier 0 and
+    descending above it.  The ideals, ordered by inclusion, are the same
+    kind of chain (trunc, radical, cofinite, full), so this is their order
+    too."""
+    return np.where(t == u, np.where(t == 0, k <= j, k >= j), t < u)
+
+
+def encode_pairs(t, k, top):
+    """Order-embedding into 0..top on which oplus is plain truncated sum,
+    valid while every fin index in sight stays below top / 2."""
+    return np.where(t == FIN, k, top - k)
+
+
+def contains_pairs(f, n, t, k):
+    """Whether ideal (f, n) holds element (t, k).  Every ideal but the
+    radical is the downset of one element: fin(n), cofin(n) or the unit."""
+    return np.where(f == RADICAL, t == FIN, leq_pairs(t, k, f >= COFINITE, n))
+
+
+def ideal_oplus_bar_pairs(f, n, g, m):
+    """Closed form for {c : c <= a + b, a in i, b in j}: truncs add, the
+    radical absorbs truncs, cofinite(c) + trunc(t) is cofinite(c - t) while
+    c - t >= 1, and every other sum is full."""
+    lo, hi = np.minimum(f, g), np.maximum(f, g)
+    gap = np.where(f == COFINITE, n - m, m - n)
+    cofinite = (hi == COFINITE) & (lo == TRUNC) & (gap >= 1)
+    family = np.where(hi <= RADICAL, hi, np.where(cofinite, COFINITE, FULL))
+    return family, np.where(hi == TRUNC, n + m, np.where(cofinite, gap, 0))
+
+
+def involute_pairs(f, n):
+    """trunc(n) <-> cofinite(n + 1); the radical is fixed."""
+    return 2 - f, n + 1 - f
+
+
+def k_pairs(f, n):
+    """k fixes the radical and sends every other point to trunc(0)."""
+    return np.where(f == RADICAL, RADICAL, TRUNC), np.zeros_like(n)
+
+
+def _ints(pair):
+    return tuple(int(v) for v in pair)
+
+
+# -- elements --------------------------------------------------------------------
 
 
 @dataclass(frozen=True, order=False)
 class ChangElement:
-    kind: str
+    """The pair (tag, k): fin(k) = (FIN, k), cofin(k) = (COFIN, k)."""
+
+    tag: int
     k: int
 
     def __post_init__(self):
-        if self.kind not in (FIN, COFIN) or self.k < 0:
-            raise AlgebraError(f"bad element ({self.kind}, {self.k})")
+        if self.tag not in (FIN, COFIN) or self.k < 0:
+            raise AlgebraError(f"bad element ({self.tag}, {self.k})")
 
     def __repr__(self):
-        return f"{self.kind}({self.k})"
+        return f"{'cofin' if self.tag == COFIN else 'fin'}({self.k})"
 
 
 def fin(k):
@@ -47,32 +118,23 @@ def cofin(k):
 
 
 class ChangAlgebra:
-    """Closed-form operations on tagged elements; no tables anywhere."""
-
-    kind = "chang"
+    """The chain's operations, each one call of its closed form; no tables."""
 
     def __init__(self):
         self.zero = fin(0)
         self.one = cofin(0)
 
     def neg(self, u):
-        return ChangElement(COFIN if u.kind == FIN else FIN, u.k)
+        return ChangElement(*_ints(neg_pairs(u.tag, u.k)))
 
     def oplus(self, u, v):
-        if u.kind == FIN and v.kind == FIN:
-            return fin(u.k + v.k)
-        if u.kind == COFIN and v.kind == COFIN:
-            return cofin(0)
-        f, c = (u, v) if u.kind == FIN else (v, u)
-        return cofin(max(c.k - f.k, 0))
+        return ChangElement(*_ints(oplus_pairs(u.tag, u.k, v.tag, v.k)))
 
     def ominus(self, u, v):
         return self.neg(self.oplus(self.neg(u), v))
 
     def leq(self, u, v):
-        if u.kind == v.kind:
-            return u.k <= v.k if u.kind == FIN else u.k >= v.k
-        return u.kind == FIN
+        return bool(leq_pairs(u.tag, u.k, v.tag, v.k))
 
     def join(self, u, v):
         return v if self.leq(u, v) else u
@@ -80,88 +142,92 @@ class ChangAlgebra:
     def meet(self, u, v):
         return u if self.leq(u, v) else v
 
+    def window(self, bound):
+        """The window fin(0..bound), cofin(bound..0) as tag and index arrays,
+        in chain order."""
+        idx = np.arange(bound + 1, dtype=WINDOW_DTYPE)
+        tags = np.repeat(np.array([FIN, COFIN], dtype=WINDOW_DTYPE), bound + 1)
+        return tags, np.concatenate([idx, idx[::-1]])
+
     def elements(self, bound):
-        """The window fin(0..bound), cofin(bound..0), in chain order."""
-        return [fin(k) for k in range(bound + 1)] + [
-            cofin(k) for k in range(bound, -1, -1)
-        ]
-
-    def encode(self, u, top):
-        """Order-embedding into 0..top on which oplus is plain truncated sum.
-
-        Valid as long as every fin index in sight stays below top/2; the
-        caller picks top accordingly.
-        """
-        return u.k if u.kind == FIN else top - u.k
-
-    def decode(self, v, top):
-        return fin(v) if v <= top // 2 else cofin(top - v)
+        """The window as elements, in chain order."""
+        return [ChangElement(t, k) for t, k in zip(*(a.tolist() for a in self.window(bound)))]
 
     def check_axioms_bounded(self, bound):
         """Axiom scan with all quantifiers restricted to the window.
 
-        Two steps that compose to a direct triple scan: (1) the closed
-        forms agree pointwise with the integer encoding on a window wide
-        enough to contain every intermediate value, and (2) the axioms
-        hold for the encoded operations, vectorized.  Witnesses decode
-        back to tagged elements.
+        Two steps that compose to a direct triple scan: (1) the closed forms
+        of neg, oplus and leq agree with the integer encoding on a window
+        wide enough to contain every intermediate value, one array
+        comparison each, a failure named for its operation; and (2) the
+        axioms hold for the encoded operations.  Witnesses are the window
+        elements at the first failing position.
         """
         top = 8 * bound + 8
-        wide = self.elements(3 * bound + 3)
-        for u in wide:
-            if self.encode(self.neg(u), top) != top - self.encode(u, top):
-                return AxiomViolation("involution", (u,), (u,))
-            for v in wide:
-                got = self.encode(self.oplus(u, v), top)
-                want = min(self.encode(u, top) + self.encode(v, top), top)
-                if got != want:
-                    return AxiomViolation("commutativity", (u, v), (u, v))
-                if self.leq(u, v) != (self.encode(u, top) <= self.encode(v, top)):
-                    return AxiomViolation("reduct-bounds", (u, v), (u, v))
-        window = self.elements(bound)
-        enc = np.array([self.encode(u, top) for u in window], dtype=np.int64)
-        osum = np.minimum(enc[:, None] + enc[None, :], top)
+        if 2 * top > np.iinfo(WINDOW_DTYPE).max:
+            raise AlgebraError(f"bound {bound} overflows the window dtype")
+        t, k = self.window(3 * bound + 3)
+        col, row = (t[:, None], k[:, None]), (t[None, :], k[None, :])
+        enc = encode_pairs(t, k, top)
+        total = np.minimum(enc[:, None] + enc, top)
+        agree = [
+            ("neg-closed-form", encode_pairs(*neg_pairs(t, k), top) != top - enc),
+            ("oplus-closed-form", encode_pairs(*oplus_pairs(*col, *row), top) != total),
+            ("leq-closed-form", leq_pairs(*col, *row) != (enc[:, None] <= enc)),
+        ]
+        bad = _first_violation(agree, t, k)
+        if bad is not None:
+            return bad
+        t, k = self.window(bound)
+        enc = encode_pairs(t, k, top)
+        osum = np.minimum(enc[:, None] + enc, top)
         neg = top - enc
         char = np.minimum(
             top - np.minimum(neg[:, None] + enc[None, :], top) + enc[None, :], top
         )
-        checks = [
+        laws = [
             ("involution", (top - neg) != enc),
             ("commutativity", osum != osum.T),
-            (
-                "associativity",
-                np.minimum(osum[:, :, None] + enc[None, None, :], top)
-                != np.minimum(enc[:, None, None] + osum[None, :, :], top),
-            ),
+            ("associativity", _assoc_failures(enc, osum, top)),
             ("zero-identity", osum[0, :] != enc),
             ("one-absorption", osum[-1, :] != top),
             ("characteristic", char != char.T),
         ]
-        for law, bad in checks:
-            where = np.argwhere(bad)
-            if len(where):
-                witness = tuple(window[int(v)] for v in where[0])
-                return AxiomViolation(law, witness, witness)
-        return None
+        return _first_violation(laws, t, k)
 
 
-# -- ideals and filters -------------------------------------------------------
+def _assoc_failures(enc, osum, top):
+    """(a + b) + c != a + (b + c) over the window cube, truncated sums
+    taken in place so the cube is allocated twice, not four times."""
+    lhs = osum[:, :, None] + enc
+    np.minimum(lhs, top, out=lhs)
+    rhs = enc[:, None, None] + osum
+    np.minimum(rhs, top, out=rhs)
+    return lhs != rhs
 
-TRUNC = "trunc"
-RADICAL = "radical"
-COFINITE = "cofinite"
-FULL = "full"
+
+def _first_violation(laws, t, k):
+    for law, bad in laws:
+        where = np.argwhere(bad)
+        if len(where):
+            witness = tuple(ChangElement(int(t[i]), int(k[i])) for i in where[0])
+            return AxiomViolation(law, witness, witness)
+    return None
+
+
+# -- ideals ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ChangIdeal:
-    """One of the four ideal families of the chain.
+    """One of the four ideal families of the chain, the pair (family, param).
 
     trunc(n): fin(0..n).  radical: all fin.  cofinite(m), m >= 1: all fin
-    plus cofin(j) for j >= m.  full: everything.
+    plus cofin(j) for j >= m.  full: everything.  By inclusion they form
+    the chain trunc(0) < trunc(1) < ... < radical < ... < J2 < J1 < full.
     """
 
-    family: str
+    family: int
     param: int = 0
 
     def __post_init__(self):
@@ -171,22 +237,11 @@ class ChangIdeal:
             raise AlgebraError("trunc needs param >= 0")
         if self.family == COFINITE and self.param < 1:
             raise AlgebraError("cofinite needs param >= 1")
+        if self.family in (RADICAL, FULL) and self.param != 0:
+            raise AlgebraError("radical and full take no param")
 
     def __contains__(self, u):
-        if self.family == TRUNC:
-            return u.kind == FIN and u.k <= self.param
-        if self.family == RADICAL:
-            return u.kind == FIN
-        if self.family == COFINITE:
-            return u.kind == FIN or u.k >= self.param
-        return True
-
-    def proper(self):
-        return self.family != FULL
-
-    def is_mv(self):
-        # addition-closure fails for trunc(n), n >= 1, and for cofinite
-        return self.family == RADICAL or (self.family == TRUNC and self.param == 0)
+        return bool(contains_pairs(self.family, self.param, u.tag, u.k))
 
     def label(self):
         if self.family == TRUNC:
@@ -198,88 +253,9 @@ class ChangIdeal:
         return "full"
 
 
-UPFIN = "upfin"
-ALLCOFIN = "allcofin"
-UPCOFIN = "upcofin"
-
-
-@dataclass(frozen=True)
-class ChangFilter:
-    """Filter families: upfin(n) is everything from fin(n) up, upcofin(t)
-    is cofin(0..t), and allcofin sits strictly between the two shapes."""
-
-    family: str
-    param: int = 0
-
-    def __post_init__(self):
-        if self.family not in (UPFIN, ALLCOFIN, UPCOFIN):
-            raise AlgebraError(f"bad filter family {self.family}")
-        if self.param < 0:
-            raise AlgebraError("filter param must be >= 0")
-
-    def __contains__(self, u):
-        if self.family == UPFIN:
-            return u.kind == COFIN or u.k >= self.param
-        if self.family == ALLCOFIN:
-            return u.kind == COFIN
-        return u.kind == COFIN and u.k <= self.param
-
-
-def ideal_complement(ideal):
-    """The complementary filter of a proper ideal of the chain."""
-    if ideal.family == TRUNC:
-        return ChangFilter(UPFIN, ideal.param + 1)
-    if ideal.family == RADICAL:
-        return ChangFilter(ALLCOFIN)
-    if ideal.family == COFINITE:
-        return ChangFilter(UPCOFIN, ideal.param - 1)
-    raise AlgebraError("the full ideal has no complementary filter")
-
-
-def filter_complement(filt):
-    if filt.family == UPFIN:
-        if filt.param == 0:
-            raise AlgebraError("the full filter has no complementary ideal")
-        return ChangIdeal(TRUNC, filt.param - 1)
-    if filt.family == ALLCOFIN:
-        return ChangIdeal(RADICAL)
-    return ChangIdeal(COFINITE, filt.param + 1)
-
-
 def ideal_oplus_bar(i, j):
     """Closed form for {c : c <= a + b, a in i, b in j}."""
-    if i.family == FULL or j.family == FULL:
-        return ChangIdeal(FULL)
-    if i.family == TRUNC and j.family == TRUNC:
-        return ChangIdeal(TRUNC, i.param + j.param)
-    if RADICAL in (i.family, j.family) and COFINITE not in (i.family, j.family):
-        return ChangIdeal(RADICAL)
-    if i.family == COFINITE or j.family == COFINITE:
-        if i.family == TRUNC or j.family == TRUNC:
-            t, c = (i, j) if i.family == TRUNC else (j, i)
-            m = c.param - t.param
-            return ChangIdeal(COFINITE, m) if m >= 1 else ChangIdeal(FULL)
-        return ChangIdeal(FULL)
-    raise AssertionError("unreachable")
-
-
-def filter_ominus_bar(f, i):
-    """Closed form for the upset {c : c >= a - b, a in f, b in i}."""
-    if i.family == FULL:
-        return ChangFilter(UPFIN, 0)
-    if f.family == UPFIN:
-        if i.family == TRUNC:
-            return ChangFilter(UPFIN, max(f.param - i.param, 0))
-        return ChangFilter(UPFIN, 0)
-    if f.family == ALLCOFIN:
-        if i.family in (TRUNC, RADICAL):
-            return ChangFilter(ALLCOFIN)
-        return ChangFilter(UPFIN, 0)
-    if i.family == TRUNC:
-        return ChangFilter(UPCOFIN, f.param + i.param)
-    if i.family == RADICAL:
-        return ChangFilter(ALLCOFIN)
-    return ChangFilter(UPFIN, max(i.param - f.param, 0))
+    return ChangIdeal(*_ints(ideal_oplus_bar_pairs(i.family, i.param, j.family, j.param)))
 
 
 # -- the dual space, symbolically ---------------------------------------------
@@ -301,30 +277,22 @@ class ChangSpace:
         self.z_points = (self.radical,)
 
     def point_leq(self, p, q):
-        rank = {TRUNC: 0, RADICAL: 1, COFINITE: 2}
-        rp, rq = rank[p.family], rank[q.family]
-        if rp != rq:
-            return rp < rq
-        if p.family == TRUNC:
-            return p.param <= q.param
-        if p.family == COFINITE:
-            return p.param >= q.param
-        return True
+        return bool(leq_pairs(p.family, p.param, q.family, q.param))
+
+    def window(self, bound):
+        """trunc(0..bound), radical, cofinite(bound..1) as family and param
+        arrays, in chain order."""
+        idx = np.arange(bound + 1, dtype=WINDOW_DTYPE)
+        family = np.repeat(np.array([TRUNC, RADICAL, COFINITE], dtype=WINDOW_DTYPE),
+                           [bound + 1, 1, bound])
+        return family, np.concatenate([idx, np.zeros(1, WINDOW_DTYPE), idx[:0:-1]])
 
     def points_bounded(self, bound):
-        """A window of the chain: trunc(0..bound), radical, cofinite(bound..1)."""
-        return (
-            [ChangIdeal(TRUNC, n) for n in range(bound + 1)]
-            + [self.radical]
-            + [ChangIdeal(COFINITE, m) for m in range(bound, 0, -1)]
-        )
+        """The window as points, in chain order."""
+        return [ChangIdeal(f, n) for f, n in zip(*(a.tolist() for a in self.window(bound)))]
 
     def involute(self, p):
-        if p.family == TRUNC:
-            return ChangIdeal(COFINITE, p.param + 1)
-        if p.family == RADICAL:
-            return self.radical
-        return ChangIdeal(TRUNC, p.param - 1)
+        return ChangIdeal(*_ints(involute_pairs(p.family, p.param)))
 
     def plus_defined(self, p, q):
         return self.point_leq(q, self.involute(p))
@@ -332,16 +300,13 @@ class ChangSpace:
     def plus(self, p, q):
         if not self.plus_defined(p, q):
             raise AlgebraError(f"{p.label()} + {q.label()} undefined")
-        out = ideal_oplus_bar(p, q)
-        if out.family == FULL:
-            raise AssertionError("sum of points left the space")
-        return out
+        return ideal_oplus_bar(p, q)
 
     def partial_plus(self, p, q):
         return self.plus(p, q) if self.plus_defined(p, q) else None
 
     def k_map(self, p):
-        return self.radical if p.family == RADICAL else ChangIdeal(TRUNC, 0)
+        return ChangIdeal(*_ints(k_pairs(p.family, p.param)))
 
     def m_map(self, y):
         if y not in self.y_points:

@@ -23,11 +23,22 @@ def _as_indices(alg, members, what):
     return idx
 
 
+def decided(alg, test, members):
+    """test(alg, members), run once per algebra and member set: the fast
+    routes (oplus_bar, ominus_bar, sheaf.crt_solve) validate the same few
+    ideals over and over.  The tests themselves and the oracles stay uncached."""
+    # the member set as a sorted tuple, a sixth of a frozenset's size
+    key = (test.__name__, tuple(sorted(set(members))))
+    if key not in alg.verdicts:
+        alg.verdicts[key] = test(alg, members)
+    return alg.verdicts[key]
+
+
 def oplus_bar(alg, i, j):
     """{c : c <= a oplus b for some a in i, b in j}."""
     ii = _as_indices(alg, i, "ideal")
     jj = _as_indices(alg, j, "ideal")
-    if not is_lattice_ideal(alg, ii) or not is_lattice_ideal(alg, jj):
+    if not all(decided(alg, is_lattice_ideal, x.tolist()) for x in (ii, jj)):
         raise AlgebraError("oplus_bar needs lattice ideals")
     sums = np.zeros(alg.n, dtype=bool)
     sums[alg.oplus[ii[:, None], jj]] = True
@@ -39,9 +50,9 @@ def ominus_bar(alg, f, i):
     """{c : c >= a ominus b for some a in f, b in i}."""
     ff = _as_indices(alg, f, "filter")
     ii = _as_indices(alg, i, "ideal")
-    if not is_lattice_filter(alg, ff):
+    if not decided(alg, is_lattice_filter, ff.tolist()):
         raise AlgebraError("ominus_bar needs a lattice filter on the left")
-    if not is_lattice_ideal(alg, ii):
+    if not decided(alg, is_lattice_ideal, ii.tolist()):
         raise AlgebraError("ominus_bar needs a lattice ideal on the right")
     diffs = np.zeros(alg.n, dtype=bool)
     diffs[alg.ominus[ff[:, None], ii]] = True

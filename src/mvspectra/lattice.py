@@ -227,10 +227,14 @@ class FiniteDistLattice:
 
     @cached_property
     def join_irreducibles(self):
-        """Non-bottom elements with exactly one lower cover, ascending."""
-        covers = FinitePoset(self.leq, validate=False).covers
-        counts = covers.sum(axis=0)
-        return [int(j) for j in np.flatnonzero(counts == 1)]
+        """Non-bottom elements with exactly one lower cover, ascending: the
+        j whose strict downset joins to something other than j, one O(n^2)
+        fold of the join table (the bottom's empty join is itself)."""
+        below = self.leq & ~np.eye(self.n, dtype=bool)
+        acc = np.full(self.n, self.bot)
+        for i in range(self.n):  # join commutes, so read row i: contiguous
+            acc = np.where(below[i], self.join[i, acc], acc)
+        return [int(j) for j in np.flatnonzero(acc != np.arange(self.n))]
 
     def poset(self):
         return FinitePoset(self.leq, validate=False)

@@ -54,6 +54,7 @@ class MvAlgebra:
         except (OverflowError, TypeError, ValueError):
             raise AlgebraError("tables must be rectangular int64 arrays") from None
         self.zero = int(zero)
+        self.verdicts = {}  # idealarith.decided's cache of ideal tests
         n = self.neg.shape[0] if self.neg.ndim == 1 else 0
         if n == 0:
             raise AlgebraError("empty carrier rejected")

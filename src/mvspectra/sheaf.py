@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AlgebraError, CapExceeded
 from .lattice import congruence_of_subspace, membership_rows
-from .idealarith import oplus_bar
+from .idealarith import decided, oplus_bar
 from .mv import SCHEMA, ideal_congruent, is_mv_ideal
 from .spectrum import MvDualSpace
 
@@ -292,7 +292,7 @@ def crt_solve(alg, ideals, targets):
     if len(ideals) != len(targets) or not ideals:
         raise AlgebraError("need matching nonempty ideal and target lists")
     for i in ideals:
-        if not is_mv_ideal(alg, i):
+        if not decided(alg, is_mv_ideal, i):
             raise AlgebraError("remainder solving needs MV ideals")
     inside = membership_rows(alg.n, ideals)
     if inside.all(axis=0).nonzero()[0].tolist() != [alg.zero]:

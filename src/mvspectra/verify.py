@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chang import ChangAlgebra, ChangIdeal, ChangSpace, RADICAL, TRUNC
-from .chang import ideal_oplus_bar as chang_oplus_bar
+from . import chang
 from .errors import CapExceeded, Error
 from .idealarith import oplus_bar, oplus_bar_oracle
 from .lattice import _bool_mm, duality_roundtrip, membership_rows, transitive_closure
@@ -536,52 +535,69 @@ def _chang_axioms(ctx):
         _fail(str(bad))
 
 
+def _in_y(space, f, n):
+    """Whether each window point (f, n) is one of the space's MV points."""
+    return np.any([(f == y.family) & (n == y.param) for y in space.y_points], axis=0)
+
+
+def _fail_at(message, bad, *axes):
+    """Fail at the first True entry of bad, named through one list per axis."""
+    if bad.any():
+        _fail(message.format(*(names[i] for names, i in zip(axes, np.argwhere(bad)[0]))))
+
+
 def _chang_plus(ctx):
-    space = ChangSpace()
-    pts = space.points_bounded(min(ctx.chang_bound, 8))
-    for p in pts:
-        ip = space.involute(p)
-        if space.involute(ip) != p:
-            _fail(f"involution not involutive at {p.label()}")
-        for q in pts:
-            dp = space.plus_defined(p, q)
-            if dp != space.plus_defined(q, p):
-                _fail(f"domain asymmetry at ({p.label()}, {q.label()})")
-            if dp != chang_oplus_bar(p, q).proper():
-                _fail(f"domain differs from ideal-sum properness at {p.label()}")
-            if dp and space.plus(p, q) != space.plus(q, p):
-                _fail(f"+ not commutative at ({p.label()}, {q.label()})")
-            if space.point_leq(q, p):
-                for r in pts:
-                    if space.plus_defined(r, p) and not space.plus_defined(r, q):
-                        _fail("translation domain gap in the window")
-        idem = space.plus_defined(p, p) and space.plus(p, p) == p
-        if idem != (p in space.y_points):
-            _fail(f"idempotent window mismatch at {p.label()}")
+    space = chang.ChangSpace()
+    bound = min(ctx.chang_bound, 8)
+    f, n = space.window(bound)
+    names = [p.label() for p in space.points_bounded(bound)]
+    back = chang.involute_pairs(*chang.involute_pairs(f, n))
+    _fail_at("involution not involutive at {}", (back[0] != f) | (back[1] != n), names)
+    col, row = (f[:, None], n[:, None]), (f[None, :], n[None, :])
+    dom = chang.leq_pairs(*row, *chang.involute_pairs(*col))  # p + q defined
+    fam, par = chang.ideal_oplus_bar_pairs(*col, *row)
+    _fail_at("domain asymmetry at ({}, {})", dom != dom.T, names, names)
+    proper = (dom != (fam != chang.FULL)).any(axis=1)
+    _fail_at("domain differs from ideal-sum properness at {}", proper, names)
+    twisted = dom & ((fam != fam.T) | (par != par.T))
+    _fail_at("+ not commutative at ({}, {})", twisted, names, names)
+    # q <= p with some r addable to p but not to q
+    below = chang.leq_pairs(*row, *col)
+    if (below[:, :, None] & dom.T[:, None, :] & ~dom.T[None, :, :]).any():
+        _fail("translation domain gap in the window")
+    idem = dom.diagonal() & (fam.diagonal() == f) & (par.diagonal() == n)
+    _fail_at("idempotent window mismatch at {}", idem != _in_y(space, f, n), names)
 
 
 def _chang_k(ctx):
-    space = ChangSpace()
+    space = chang.ChangSpace()
     alg = space.algebra
     bound = min(ctx.chang_bound, 8)
-    wide = alg.elements(3 * bound + 4)
-    for p in space.points_bounded(bound):
-        kp = space.k_map(p)
-        if kp not in space.y_points or space.k_map(kp) != kp:
-            _fail(f"k window retraction fails at {p.label()}")
-        for a in alg.elements(bound):
-            member = all(c in p for c in wide if alg.ominus(c, a) in p)
-            if member != (a in kp):
-                _fail(f"k formula window mismatch at ({p.label()}, {a!r})")
+    f, n = space.window(bound)
+    names = [p.label() for p in space.points_bounded(bound)]
+    kf, kn = chang.k_pairs(f, n)
+    back = chang.k_pairs(kf, kn)
+    bad = ~_in_y(space, kf, kn) | (back[0] != kf) | (back[1] != kn)
+    _fail_at("k window retraction fails at {}", bad, names)
+    t, k = alg.window(bound)
+    wt, wk = alg.window(3 * bound + 4)
+    # a lies in I_k(p) exactly when c ominus a in p forces c in p, every c
+    dt, dk = chang.neg_pairs(*chang.oplus_pairs(*chang.neg_pairs(wt[:, None], wk[:, None]), t, k))
+    inside = chang.contains_pairs(f[:, None, None], n[:, None, None], dt, dk)
+    holds = chang.contains_pairs(f[:, None], n[:, None], wt, wk)  # [p, c]
+    member = ~(inside & ~holds[:, :, None]).any(axis=1)
+    bad = member != chang.contains_pairs(kf[:, None], kn[:, None], t, k)
+    elems = [repr(a) for a in alg.elements(bound)]
+    _fail_at("k formula window mismatch at ({}, {})", bad, names, elems)
 
 
 def _chang_kaplansky(ctx):
-    space = ChangSpace()
+    space = chang.ChangSpace()
     if len(space.y_points) != 2 or len(space.z_points) != 1:
         _fail("symbolic spectrum is not the expected doubleton over a point")
-    if space.z_points[0] != ChangIdeal(RADICAL):
+    if space.z_points[0] != chang.ChangIdeal(chang.RADICAL):
         _fail("the maximal point is not the radical")
-    if space.germinal_ideal(space.z_points[0]) != ChangIdeal(TRUNC, 0):
+    if space.germinal_ideal(space.z_points[0]) != chang.ChangIdeal(chang.TRUNC, 0):
         _fail("germinal ideal at the radical is not zero")
 
 
@@ -648,12 +664,12 @@ CHANG_SUITES = {
 def _suite_checks(alg, suite):
     if suite not in SUITE_NAMES:
         raise Error(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    chang = isinstance(alg, ChangAlgebra)
-    table = CHANG_SUITES if chang else FINITE_SUITES
+    symbolic = isinstance(alg, chang.ChangAlgebra)
+    table = CHANG_SUITES if symbolic else FINITE_SUITES
     if suite != "all":
         return list(table[suite])
-    head = [("axioms-bounded" if chang else "axioms", _chang_axioms if chang else _check_axioms)]
-    if not chang:
+    head = [("axioms-bounded", _chang_axioms) if symbolic else ("axioms", _check_axioms)]
+    if not symbolic:
         head.append(("duality-roundtrip", _check_duality))
     out = list(head)
     for name in ("plus", "k", "kaplansky", "sheaf-prime", "sheaf-maximal", "crt"):

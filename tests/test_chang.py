@@ -10,26 +10,27 @@ from __future__ import annotations
 
 import pytest
 
+import functools
+import io
+from dataclasses import dataclass
+
+from mvspectra import chang
 from mvspectra.chang import (
-    ALLCOFIN,
+    COFIN,
     COFINITE,
+    FIN,
     FULL,
     RADICAL,
     TRUNC,
-    UPCOFIN,
-    UPFIN,
     ChangAlgebra,
     ChangElement,
-    ChangFilter,
     ChangIdeal,
     ChangSpace,
     cofin,
     fin,
-    filter_complement,
-    filter_ominus_bar,
-    ideal_complement,
     ideal_oplus_bar,
 )
+from mvspectra.cli import main
 from mvspectra.errors import AlgebraError
 
 
@@ -39,7 +40,7 @@ UNIT = (1, 0)
 
 
 def to_pair(u):
-    return (0, u.k) if u.kind == "fin" else (1, -u.k)
+    return (0, u.k) if u.tag == FIN else (1, -u.k)
 
 
 def from_pair(p):
@@ -94,21 +95,79 @@ def test_frozen_arithmetic():
 
 def test_element_validation():
     with pytest.raises(AlgebraError):
-        ChangElement("fin", -1)
+        ChangElement(FIN, -1)
     with pytest.raises(AlgebraError):
-        ChangElement("middle", 0)
+        ChangElement(2, 0)
     assert repr(fin(3)) == "fin(3)"
     assert repr(cofin(0)) == "cofin(0)"
+
+
+def encode(u, top):
+    return int(chang.encode_pairs(u.tag, u.k, top))
+
+
+def decode(v, top):
+    return fin(v) if v <= top // 2 else cofin(top - v)
 
 
 def test_encode_decode_roundtrip():
     top = 100
     for u in window(10):
-        assert ALG.decode(ALG.encode(u, top), top) == u
+        assert decode(encode(u, top), top) == u
 
 
 def test_bounded_axiom_check_passes():
     assert ALG.check_axioms_bounded(8) is None
+
+
+def test_bounded_scan_refuses_bounds_past_the_window_dtype():
+    # top = 8 * 2047 + 8; 2 * top would wrap in int16
+    with pytest.raises(AlgebraError, match="overflows"):
+        ALG.check_axioms_bounded(2047)
+
+
+def _break_neg(t, k):  # neg fin(2) = cofin(3), neg cofin(2) = fin(3)
+    nt, nk = CLOSED_FORMS["neg"](t, k)
+    return nt, nk + (k == 2)
+
+
+def _break_oplus(t, k, u, j):  # fin(1) + fin(1) = fin(3)
+    st, sk = CLOSED_FORMS["oplus"](t, k, u, j)
+    return st, sk + ((t == FIN) & (u == FIN) & (k == 1) & (j == 1))
+
+
+def _break_leq(t, k, u, j):  # fin(3) no longer below fin(4)
+    spot = (t == FIN) & (u == FIN) & (k == 3) & (j == 4)
+    return CLOSED_FORMS["leq"](t, k, u, j) ^ spot
+
+
+CLOSED_FORMS = {op: getattr(chang, f"{op}_pairs") for op in ("neg", "oplus", "leq")}
+BREAKS = {
+    "neg": (_break_neg, (fin(2),)),
+    "oplus": (_break_oplus, (fin(1), fin(1))),
+    "leq": (_break_leq, (fin(3), fin(4))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BREAKS))
+def test_bounded_scan_names_the_broken_closed_form(op, monkeypatch):
+    broken, witness = BREAKS[op]
+    monkeypatch.setattr(chang, f"{op}_pairs", broken)
+    bad = ALG.check_axioms_bounded(6)
+    assert bad.law == f"{op}-closed-form"
+    assert bad.witness == witness
+    # the broken operation disagrees with the encoding at the witness
+    top = 8 * 6 + 8
+    enc = [encode(u, top) for u in witness]
+    if op == "neg":
+        assert encode(ALG.neg(*witness), top) != top - enc[0]
+    elif op == "oplus":
+        assert encode(ALG.oplus(*witness), top) != min(sum(enc), top)
+    else:
+        assert ALG.leq(*witness) != (enc[0] <= enc[1])
+    out = io.StringIO()
+    assert main(["check", "--input", '{"kind":"chang"}'], out=out) == 1
+    assert out.getvalue().startswith(f"violation: {op}-closed-form at ")
 
 
 def test_direct_triple_scan():
@@ -123,6 +182,80 @@ def test_direct_triple_scan():
 
 
 # ---------------------------------------------------------------- ideals
+#
+# The MV flag, the complementary filters and the filter difference are
+# closed forms the package does not use; they live here as oracles over
+# the ideal families, each checked against bounded traces below.
+
+UPFIN, ALLCOFIN, UPCOFIN = "upfin", "allcofin", "upcofin"
+
+
+@dataclass(frozen=True)
+class ChangFilter:
+    """Filter families: upfin(n) is everything from fin(n) up, upcofin(t)
+    is cofin(0..t), and allcofin sits strictly between the two shapes."""
+
+    family: str
+    param: int = 0
+
+    def __post_init__(self):
+        if self.family not in (UPFIN, ALLCOFIN, UPCOFIN):
+            raise AlgebraError(f"bad filter family {self.family}")
+        if self.param < 0:
+            raise AlgebraError("filter param must be >= 0")
+
+    def __contains__(self, u):
+        if self.family == UPFIN:
+            return u.tag == COFIN or u.k >= self.param
+        if self.family == ALLCOFIN:
+            return u.tag == COFIN
+        return u.tag == COFIN and u.k <= self.param
+
+
+def is_mv(ideal):
+    # addition-closure fails for trunc(n), n >= 1, and for cofinite
+    return ideal.family == RADICAL or (ideal.family == TRUNC and ideal.param == 0)
+
+
+def ideal_complement(ideal):
+    """The complementary filter of a proper ideal of the chain."""
+    if ideal.family == TRUNC:
+        return ChangFilter(UPFIN, ideal.param + 1)
+    if ideal.family == RADICAL:
+        return ChangFilter(ALLCOFIN)
+    if ideal.family == COFINITE:
+        return ChangFilter(UPCOFIN, ideal.param - 1)
+    raise AlgebraError("the full ideal has no complementary filter")
+
+
+def filter_complement(filt):
+    if filt.family == UPFIN:
+        if filt.param == 0:
+            raise AlgebraError("the full filter has no complementary ideal")
+        return ChangIdeal(TRUNC, filt.param - 1)
+    if filt.family == ALLCOFIN:
+        return ChangIdeal(RADICAL)
+    return ChangIdeal(COFINITE, filt.param + 1)
+
+
+def filter_ominus_bar(f, i):
+    """Closed form for the upset {c : c >= a - b, a in f, b in i}."""
+    if i.family == FULL:
+        return ChangFilter(UPFIN, 0)
+    if f.family == UPFIN:
+        if i.family == TRUNC:
+            return ChangFilter(UPFIN, max(f.param - i.param, 0))
+        return ChangFilter(UPFIN, 0)
+    if f.family == ALLCOFIN:
+        if i.family in (TRUNC, RADICAL):
+            return ChangFilter(ALLCOFIN)
+        return ChangFilter(UPFIN, 0)
+    if i.family == TRUNC:
+        return ChangFilter(UPCOFIN, f.param + i.param)
+    if i.family == RADICAL:
+        return ChangFilter(ALLCOFIN)
+    return ChangFilter(UPFIN, max(i.param - f.param, 0))
+
 
 IDEAL_GRID = (
     [ChangIdeal(TRUNC, n) for n in range(5)]
@@ -158,18 +291,18 @@ def test_ideal_traces_are_downsets():
 
 
 def test_mv_ideal_flags():
-    assert ChangIdeal(TRUNC, 0).is_mv()
-    assert ChangIdeal(RADICAL).is_mv()
-    assert not ChangIdeal(TRUNC, 1).is_mv()
-    assert not ChangIdeal(COFINITE, 1).is_mv()
+    assert is_mv(ChangIdeal(TRUNC, 0))
+    assert is_mv(ChangIdeal(RADICAL))
+    assert not is_mv(ChangIdeal(TRUNC, 1))
+    assert not is_mv(ChangIdeal(COFINITE, 1))
     # flag matches bounded addition-closure
     elems = window(9)
     for ideal in IDEAL_GRID:
-        if not ideal.proper():
+        if ideal.family == FULL:
             continue
         inside = [u for u in elems if u in ideal]
         closed = all(ALG.oplus(a, b) in ideal for a in inside for b in inside)
-        if not ideal.is_mv():
+        if not is_mv(ideal):
             assert not closed, ideal.label()
         else:
             assert closed, ideal.label()
@@ -187,7 +320,7 @@ def test_ideal_families_pairwise_distinct():
 def test_complement_bijection():
     elems = window(9)
     for ideal in IDEAL_GRID:
-        if not ideal.proper():
+        if ideal.family == FULL:
             with pytest.raises(AlgebraError):
                 ideal_complement(ideal)
             continue
@@ -203,10 +336,18 @@ def test_complement_bijection():
         assert ideal_complement(filter_complement(filt)) == filt
 
 
-def oplus_bar_trace_oracle(i, j, outer):
+@functools.lru_cache(maxsize=None)
+def op_table(op, outer):
+    """op over every pair of the wide window that the trace oracles scan."""
     big = window(3 * outer + 6)
-    sums = {ALG.oplus(a, b) for a in big if a in i for b in big if b in j}
-    return {c for c in window(outer) if any(ALG.leq(c, s) for s in sums)}
+    return big, {(a, b): getattr(ALG, op)(a, b) for a in big for b in big}
+
+
+def oplus_bar_trace_oracle(i, j, outer):
+    big, table = op_table("oplus", outer)
+    right = [b for b in big if b in j]
+    sums = {table[a, b] for a in big if a in i for b in right}
+    return {c for c in window(outer) if any(to_pair(c) <= to_pair(s) for s in sums)}
 
 
 def test_ideal_oplus_bar_matches_trace_oracle():
@@ -223,9 +364,10 @@ def test_ideal_oplus_bar_matches_trace_oracle():
 
 
 def ominus_bar_trace_oracle(f, i, outer):
-    big = window(3 * outer + 6)
-    diffs = {ALG.ominus(a, b) for a in big if a in f for b in big if b in i}
-    return {c for c in window(outer) if any(ALG.leq(d, c) for d in diffs)}
+    big, table = op_table("ominus", outer)
+    right = [b for b in big if b in i]
+    diffs = {table[a, b] for a in big if a in f for b in right}
+    return {c for c in window(outer) if any(to_pair(d) <= to_pair(c) for d in diffs)}
 
 
 def test_filter_ominus_bar_matches_trace_oracle():
@@ -284,7 +426,7 @@ def test_plus_defined_iff_sum_ideal_proper():
     pts = SPACE.points_bounded(4)
     for p in pts:
         for q in pts:
-            assert SPACE.plus_defined(p, q) == ideal_oplus_bar(p, q).proper()
+            assert SPACE.plus_defined(p, q) == (ideal_oplus_bar(p, q).family != FULL)
             assert SPACE.plus_defined(p, q) == SPACE.plus_defined(q, p)
 
 
@@ -345,7 +487,7 @@ def test_self_addable_idempotents_are_the_mv_points():
         )
         selfsum_equal = SPACE.plus_defined(p, p) and SPACE.plus(p, p) == p
         assert selfsum_below == selfsum_equal == (p in SPACE.y_points)
-        assert (p in SPACE.y_points) == p.is_mv()
+        assert (p in SPACE.y_points) == is_mv(p)
 
 
 def test_k_map_frozen_and_formula_oracle():

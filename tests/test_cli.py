@@ -149,6 +149,30 @@ def test_spectrum_json_bytes_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
+# the sha256 of Chang's chain outputs, pinned when its closed forms moved
+# onto integer arrays
+PINNED_CHANG = {
+    "verify-0": (["verify", "--suite", "all", "--format", "json", "--chang-bound", "0"],
+                 "407a8c4d53d1bbf23c531063f4a4cd83dcc3d0307881305fb07eb23fbb6a91d4"),
+    "verify-6": (["verify", "--suite", "all", "--format", "json", "--chang-bound", "6"],
+                 "407a8c4d53d1bbf23c531063f4a4cd83dcc3d0307881305fb07eb23fbb6a91d4"),
+    "verify-32": (["verify", "--suite", "all", "--format", "json", "--chang-bound", "32"],
+                  "407a8c4d53d1bbf23c531063f4a4cd83dcc3d0307881305fb07eb23fbb6a91d4"),
+    "spectrum-32": (["spectrum", "--format", "json", "--chang-bound", "32"],
+                    "3bb7b0fdddb78e5146ba7d9eb2340838bb58870514dce9c6e1f5354333ffb40a"),
+    "check-128": (["check", "--chang-bound", "128"],
+                  "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHANG))
+def test_chang_bytes_are_pinned(name):
+    argv, sha256 = PINNED_CHANG[name]
+    code, text = run([argv[0], "--input", CHANG, *argv[1:]])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 def test_spectrum_carrier_cap(capsys):
     code, _ = run(["spectrum", "--input", PROD, "--cap", "5"])
     assert code == 1

@@ -67,6 +67,18 @@ def test_each_command_loads_only_its_layers(argv, code, expected):
     assert loaded_modules(body) == expected
 
 
+def test_importing_verify_loads_every_layer():
+    # the benchmark's traced pass imports verify, then indexes sys.modules
+    # for each layer and wraps these names
+    body = (
+        "import mvspectra.verify\n"
+        "assert sys.modules['mvspectra.spectrum'].MvDualSpace\n"
+        "assert sys.modules['mvspectra.chang'].ChangSpace\n"
+        "assert sys.modules['mvspectra.verify']._suite_checks"
+    )
+    assert loaded_modules(body) == EVERY - {"mvspectra.cli"}
+
+
 @pytest.mark.parametrize(
     "raw, code", [(PROD, 0), (BROKEN, 1)], ids=["accepts", "rejects"]
 )

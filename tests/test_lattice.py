@@ -10,6 +10,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvspectra.errors import LatticeError, NotDistributiveError, PosetError
 from mvspectra.lattice import (
@@ -29,6 +31,7 @@ from mvspectra.lattice import (
     stone_map,
     transitive_closure,
 )
+from mvspectra.mv import lukasiewicz_chain, product
 
 from conftest import ideal_sets, lattice_from_leq, poset_from_pairs
 
@@ -127,6 +130,28 @@ def test_chain_tables():
     assert c.bot == 0 and c.top == 3
     assert c.join[1, 2] == 2 and c.meet[1, 2] == 1
     assert c.join_irreducibles == [1, 2, 3]
+
+
+def covers_join_irreducibles(lat):
+    """Reference: the non-bottom elements with exactly one lower cover."""
+    counts = FinitePoset(lat.leq, validate=False).covers.sum(axis=0)
+    return np.flatnonzero(counts == 1).tolist()
+
+
+def test_join_irreducible_fold_matches_covers(family):
+    square = product(lukasiewicz_chain(31), lukasiewicz_chain(31))
+    for alg in [*family.values(), square]:
+        lat = alg.lattice_reduct()
+        assert lat.join_irreducibles == covers_join_irreducibles(lat)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.integers(0, 2**32), st.integers(1, 7))
+def test_join_irreducible_fold_matches_covers_on_downset_lattices(seed, size):
+    poset = random_poset(random.Random(seed), size)
+    lat = lattice_from_downsets(poset)
+    assert lat.join_irreducibles == covers_join_irreducibles(lat)
+    assert len(lat.join_irreducibles) == size  # the principal downsets
 
 
 def test_from_leq_detects_missing_bounds():

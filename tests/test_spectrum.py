@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvspectra import spectrum as sp
-from mvspectra.chang import RADICAL, TRUNC, ChangAlgebra, ChangIdeal, ChangSpace
+from mvspectra.chang import COFINITE, RADICAL, TRUNC, ChangAlgebra, ChangIdeal, ChangSpace
 from mvspectra.errors import Error
 from mvspectra.idealarith import oplus_bar_oracle
 from mvspectra.mv import MvAlgebra, is_maximal_mv_ideal, lukasiewicz_chain, product
@@ -100,7 +100,7 @@ def test_chang_dispatch_and_maximal_retraction():
     assert space.m_map(radical) == radical
     # adding any tail of the radical to a cofinite point reaches the top,
     # so the retraction sends cofinite points all the way down
-    assert space.k_map(ChangIdeal("cofinite", 2)) == bottom
+    assert space.k_map(ChangIdeal(COFINITE, 2)) == bottom
     assert space.k_map(radical) == radical
     assert radical in space.fiber(radical, chang_bound=6)
     assert bottom not in space.fiber(radical, chang_bound=6)

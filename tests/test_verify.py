@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mvspectra import verify
+from mvspectra import chang, verify
 from mvspectra.chang import ChangAlgebra
 from mvspectra.errors import Error
 from mvspectra.mv import MvAlgebra, lukasiewicz_chain, product
@@ -49,6 +49,48 @@ def test_chang_statuses():
     skips = [r for r in rows.values() if r.status == "skip"]
     assert len(skips) == 3
     assert all("symbolic" in r.detail for r in skips)
+
+
+SYMBOLIC = {name: getattr(chang, name) for name in
+            ("involute_pairs", "ideal_oplus_bar_pairs", "k_pairs", "contains_pairs")}
+
+
+def _shift_involute(f, n):  # param 3 moves up one: I3 -> J5, J3 -> I3
+    g, m = SYMBOLIC["involute_pairs"](f, n)
+    return g, m + (n == 3)
+
+
+def _narrow_sums(f, n, g, m):  # sums that land on J1 become full
+    fam, par = SYMBOLIC["ideal_oplus_bar_pairs"](f, n, g, m)
+    return np.where((fam == chang.COFINITE) & (par == 1), chang.FULL, fam), par
+
+
+def _lift_k(f, n):  # k(J2) = I1, not an MV point
+    kf, kn = SYMBOLIC["k_pairs"](f, n)
+    return kf, kn + ((f == chang.COFINITE) & (n == 2))
+
+
+def _shrink_radical(f, n, t, k):  # the radical loses fin(5)
+    spot = (f == chang.RADICAL) & (t == chang.FIN) & (k == 5)
+    return SYMBOLIC["contains_pairs"](f, n, t, k) & ~spot
+
+
+@pytest.mark.parametrize(
+    "name, broken, row, detail",
+    [
+        ("involute_pairs", _shift_involute, "plus-symbolic-window",
+         "involution not involutive at I2"),
+        ("ideal_oplus_bar_pairs", _narrow_sums, "plus-symbolic-window",
+         "domain differs from ideal-sum properness at I0"),
+        ("k_pairs", _lift_k, "k-closed-forms-window", "k window retraction fails at J2"),
+        ("contains_pairs", _shrink_radical, "k-closed-forms-window",
+         "k formula window mismatch at (I_omega, fin(1))"),
+    ],
+)
+def test_broken_symbolic_closed_form_fails_its_row(monkeypatch, name, broken, row, detail):
+    monkeypatch.setattr(chang, name, broken)
+    rows = {r.name: r for r in run_suite(ChangAlgebra(), "all", chang_bound=8)}
+    assert (rows[row].status, rows[row].detail) == ("fail", detail)
 
 
 def test_broken_algebra_fails_not_raises():
