@@ -3,9 +3,14 @@
 The pointwise sum of two ideals collects everything below a sum of
 members; the difference of a filter and an ideal collects everything above
 a difference.  Both are again an ideal respectively a filter, and they are
-adjoint to each other.  The comprehension route here is cross-checked,
-in the tests and by verify, against closure-fixpoint oracles that iterate
-on boolean membership vectors.
+adjoint to each other.  The comprehension route here is cross-checked in
+the tests against closure-fixpoint oracles that iterate on boolean
+membership vectors.
+
+sum_table tabulates the sums with one fixed ideal, so that the pairwise
+sums with any number of other ideals are one boolean matrix product; the
+oracle rows of verify read the ideal sums of the dual space's points and
+the k scan off it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AlgebraError
-from .lattice import _closure, is_lattice_filter, is_lattice_ideal
+from .lattice import is_lattice_filter, is_lattice_ideal
 
 
 def _as_indices(alg, members, what):
@@ -60,24 +65,15 @@ def ominus_bar(alg, f, i):
     return frozenset(above.nonzero()[0].tolist())
 
 
-def _pairwise(alg, table, left, right):
-    """Boolean "hit" vector over the carrier: the table entries of all
-    pairs from left x right."""
-    hit = np.zeros(alg.n, dtype=bool)
-    rows = np.fromiter(left, dtype=np.intp)
-    cols = np.fromiter(right, dtype=np.intp)
-    hit[table[rows[:, None], cols]] = True
-    return hit
-
-
-def oplus_bar_oracle(alg, i, j):
-    """Lattice-ideal closure of the set of pairwise sums; for cross-checks."""
-    return _closure(alg.leq, alg.join, _pairwise(alg, alg.oplus, i, j))
-
-
-def ominus_bar_oracle(alg, f, i):
-    """Lattice-filter closure of the set of pairwise differences."""
-    return _closure(alg.leq.T, alg.meet, _pairwise(alg, alg.ominus, f, i))
+def sum_table(alg, row):
+    """R[b, c]: c = a oplus b for some member a of the boolean membership
+    row.  The sums of the row's members with those of any set J, the hit
+    row of their ideal sum, are then J's membership row times R (one
+    lattice._bool_mm for many sets at once)."""
+    sums = alg.oplus[row]  # one row of sums per member, indexed by b
+    table = np.zeros((alg.n, alg.n), dtype=bool)
+    table.reshape(-1)[sums + alg.n * np.arange(alg.n)] = True  # flat [b, sum]
+    return table
 
 
 def adjunction_holds(alg, f, i, j):

@@ -362,10 +362,11 @@ def ideal_congruent(alg, a, b, ideal):
 
 
 def congruence_class(alg, a, ideal):
-    """Boolean vector over the carrier: b is congruent to a modulo the ideal."""
+    """Boolean vector over the carrier: b is congruent to a modulo the
+    ideal.  For an index array a, one such row per entry."""
     inside = np.zeros(alg.n, dtype=bool)
     inside[list(ideal)] = True
-    return inside[alg.ominus[:, a]] & inside[alg.ominus[a, :]]
+    return inside[alg.ominus[:, a]].T & inside[alg.ominus[a, :]]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlgebraError, CapExceeded
-from .lattice import congruence_of_subspace, membership_rows
+from .lattice import _bool_mm, congruence_of_subspace, membership_rows
 from .idealarith import decided, oplus_bar
 from .mv import SCHEMA, ideal_congruent, is_mv_ideal
 from .spectrum import MvDualSpace
@@ -285,11 +285,15 @@ def crt_solve(alg, ideals, targets):
     """The unique element congruent to each target modulo its ideal.
 
     Needs MV ideals with zero intersection and pairwise-compatible targets;
-    compatibility is modulo the join of the two ideals.  A solution is
-    congruent to every target, so compatibility is only scanned, for the
-    message, when there is none or more than one.
+    compatibility is modulo the join of the two ideals.  targets is one
+    target per ideal, or a 2-D array of such rows: then every row is solved
+    at once against ideals validated once, and an array of solutions comes
+    back.  A solution is congruent to every target, so compatibility is
+    only scanned, for the message, when there is none or more than one; a
+    2-D call names the first such row.
     """
-    if len(ideals) != len(targets) or not ideals:
+    t = np.asarray(targets, dtype=np.intp)
+    if not ideals or t.ndim not in (1, 2) or t.shape[-1] != len(ideals):
         raise AlgebraError("need matching nonempty ideal and target lists")
     for i in ideals:
         if not decided(alg, is_mv_ideal, i):
@@ -298,23 +302,31 @@ def crt_solve(alg, ideals, targets):
     if inside.all(axis=0).nonzero()[0].tolist() != [alg.zero]:
         raise AlgebraError("the ideals do not intersect to zero")
     # b is congruent to t modulo I when both b ominus t and t ominus b lie
-    # in I: one gather per direction gives every ideal's class at once
-    rows = np.arange(len(ideals))[:, None]
-    t = np.asarray(targets, dtype=np.intp)
+    # in I: one gather per direction gives every row's class under every
+    # ideal at once, shaped rows x ideals x carrier
+    rows = t.reshape(-1, len(ideals))
+    which = np.arange(len(ideals))[:, None]
     solved = (
-        inside[rows, alg.ominus[:, t].T] & inside[rows, alg.ominus[t, :]]
-    ).all(axis=0)
-    found = solved.nonzero()[0]
-    if len(found) == 1:
-        return int(found[0])
+        inside[which, alg.ominus[:, rows].transpose(1, 2, 0)]
+        & inside[which, alg.ominus[rows, :]]
+    ).all(axis=1)
+    found = solved.sum(axis=1)
+    if (found != 1).any():
+        r = int(np.flatnonzero(found != 1)[0])
+        message = _crt_failure(alg, ideals, rows[r].tolist(), int(found[r]))
+        raise AlgebraError(message if t.ndim == 1 else f"row {r}: {message}")
+    out = solved.argmax(axis=1)
+    return int(out[0]) if t.ndim == 1 else out
+
+
+def _crt_failure(alg, ideals, targets, found):
+    """Why one row of targets has no unique solution."""
     for l in range(len(ideals)):
         for m in range(l + 1, len(ideals)):
             join = oplus_bar(alg, ideals[l], ideals[m])
             if not ideal_congruent(alg, targets[l], targets[m], join):
-                raise AlgebraError(
-                    f"targets {l} and {m} are incompatible modulo the join"
-                )
-    raise AlgebraError(f"expected a unique solution, found {len(found)}")
+                return f"targets {l} and {m} are incompatible modulo the join"
+    return f"expected a unique solution, found {found}"
 
 
 def crt_term(alg, units, targets, space=None):
@@ -383,19 +395,30 @@ def difference_tower(alg, a, u):
 
 
 def tower_sandwich(space, a, u):
-    """Bounds for the stabilized tower intersection.
+    """Bounds for the stabilized tower intersections of the pairs (a, u).
 
-    hat(a) & k^{-1}(hat(u) complement) sits inside the intersection of the
-    tower hats, which sits inside the down-closure of the left side; both
-    inclusions are asserted and the three sets returned.
+    a and u are equal-length index arrays.  For each pair, hat(a) &
+    k^{-1}(hat(u) complement) sits inside the intersection of the tower
+    hats, which sits inside the down-closure of the left side.  Every tower
+    advances together, at most |A| steps; both inclusions are asserted once
+    and the three sets come back as boolean arrays, pairs x points.
     """
-    member = space.member
-    hat_a = ~member[:, a]
-    useen = member[space.k, u]  # u lies in the ideal of k(x)
+    alg, member = space.algebra, space.member
+    a, u = np.atleast_1d(a), np.atleast_1d(u)
+    hat_a = ~member[:, a].T
+    useen = member[space.k[:, None], u].T  # u lies in the ideal of k(x)
     lhs = hat_a & useen
-    seq = difference_tower(space.algebra, a, u)
-    mid = ~member[:, seq].any(axis=1)
-    rhs = hat_a & space.order.leq[:, useen].any(axis=1)
+    mid = hat_a.copy()
+    cur = a
+    for _ in range(alg.n):
+        nxt = alg.ominus[cur, u]
+        if (nxt == cur).all():
+            break
+        cur = nxt
+        mid &= ~member[:, cur].T
+    if (alg.ominus[cur, u] != cur).any():
+        raise AlgebraError("difference tower failed to stabilize")
+    rhs = hat_a & _bool_mm(useen, space.order.leq.T)
     if (lhs & ~mid).any() or (mid & ~rhs).any():
         raise AlgebraError("tower bounds fail")
-    return tuple(frozenset(v.nonzero()[0].tolist()) for v in (lhs, mid, rhs))
+    return lhs, mid, rhs

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlgebraError, SearchBudgetExceeded
-from .idealarith import ominus_bar, oplus_bar
+from .idealarith import ominus_bar, sum_table
 from .lattice import (
     _bool_mm,
     dual_order,
@@ -236,10 +236,11 @@ def k_via_ideal_scan(space, x):
     """Oracle route: the largest MV-ideal J with I_x +bar J inside I_x."""
     alg = space.algebra
     row = space.member[x]
-    ix = row.nonzero()[0]
-    good = [
-        j for j in enumerate_mv_ideals(alg) if row[list(oplus_bar(alg, ix, j))].all()
-    ]
+    ideals = enumerate_mv_ideals(alg)
+    # I_x is a lattice ideal, so I_x +bar J lies inside it exactly when the
+    # hit row of I_x + J does
+    hits = _bool_mm(membership_rows(alg.n, ideals), sum_table(alg, row))
+    good = [j for j, hit in zip(ideals, hits) if not (hit & ~row).any()]
     best = max(good, key=len)
     if any(not j <= best for j in good):
         raise AlgebraError("addable ideals have no largest member")

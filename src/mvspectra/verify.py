@@ -13,13 +13,14 @@ section-enumeration suites, which need a finite carrier.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import chang
 from .errors import CapExceeded, Error
-from .idealarith import oplus_bar, oplus_bar_oracle
+from .idealarith import oplus_bar, sum_table
 from .lattice import _bool_mm, duality_roundtrip, membership_rows, transitive_closure
 from .mv import (
     SUITE_NAMES,
@@ -27,7 +28,6 @@ from .mv import (
     congruence_class,
     enumerate_mv_ideals,
     ideal_generated,
-    is_mv_ideal,
     maximal_mv_ideals,
 )
 from .sheaf import (
@@ -161,9 +161,14 @@ def _check_plus_idempotents(ctx):
         x for x in range(n) if diag[x] >= 0 and leq[diag[x], x]
     )
     equal = frozenset(x for x in range(n) if diag[x] == x)
-    mv = frozenset(
-        x for x, row in enumerate(s.member) if is_mv_ideal(s.algebra, row.nonzero()[0])
-    )
+    # I_x is an MV ideal when it holds zero, is a downset and is closed
+    # under oplus: the sums a oplus b of members, the hit row of I_x oplus
+    # I_x, lie inside I_x (one |I_x|^2 gather, less than the |I_x| * n of
+    # tabulating all sums with I_x)
+    alg, member = s.algebra, s.member
+    downset = ~(_bool_mm(member, alg.leq.T) & ~member).any(axis=1)
+    closed = [row[alg.oplus[np.ix_(row, row)]].all() for row in member]
+    mv = frozenset(np.flatnonzero(member[:, alg.zero] & downset & closed).tolist())
     if not (below == equal == mv == s.y_set):
         _fail("idempotent characterizations of the MV points disagree")
 
@@ -203,22 +208,40 @@ def _check_plus_domain(ctx):
         _fail(f"domain of + is not downward closed under ({x2}, {y2})")
 
 
+def _generated_ideals(alg, hits):
+    """The lattice ideal each boolean row generates, as a membership row:
+    the downset of the join of the row's members.  The join is a fold of
+    the join table over the columns, halving them at each step, across all
+    rows at once (zero stands in for a non-member)."""
+    top = np.where(hits, np.arange(alg.n), alg.zero)
+    while top.shape[1] > 1:
+        if top.shape[1] % 2:
+            top = np.column_stack([top, np.full(len(top), alg.zero)])
+        top = alg.join[top[:, 0::2], top[:, 1::2]]
+    return alg.leq[:, top[:, 0]].T
+
+
 def _check_plus_matches_ideal_sums(ctx):
     s = ctx.space
     alg = s.algebra
-    # the oracle takes and returns sets: one per point, built once
-    ideals = [frozenset(row.nonzero()[0].tolist()) for row in s.member]
-    n = len(ideals)
-    # pairwise sums commute, so I_x oplus_bar I_y serves both table entries
-    for x in range(n):
-        for y in range(x, n):
-            direct = oplus_bar_oracle(alg, ideals[x], ideals[y])
-            for a, b in ((x, y), (y, x)):
-                if s.plus[a, b] < 0:
-                    if alg.one not in direct:
-                        _fail(f"({a}, {b}) undefined but the ideal sum is proper")
-                elif direct != ideals[s.plus[a, b]]:
-                    _fail(f"table sum at ({a}, {b}) differs from the ideal sum")
+    member, plus = s.member, s.plus
+    npts = len(member)
+    # pairwise sums commute, so I_x oplus_bar I_y serves both table entries:
+    # for each x, the hit rows of I_x oplus I_y for all y >= x are one
+    # product with the sum table of I_x
+    for x in range(npts):
+        ys = np.arange(x, npts)
+        direct = _generated_ideals(alg, _bool_mm(member[ys], sum_table(alg, member[x])))
+        entries = np.stack([plus[x, ys], plus[ys, x]], axis=1)  # (x, y), (y, x)
+        undefined = entries < 0
+        improper = undefined & ~direct[:, None, alg.one]
+        differs = ~undefined & (member[entries] != direct[:, None]).any(axis=2)
+        if (improper | differs).any():
+            i, d = np.argwhere(improper | differs)[0]
+            a, b = (x, ys[i]) if d == 0 else (ys[i], x)
+            if improper[i, d]:
+                _fail(f"({a}, {b}) undefined but the ideal sum is proper")
+            _fail(f"table sum at ({a}, {b}) differs from the ideal sum")
 
 
 # -- finite checks: k, fibers, interpolation ----------------------------------
@@ -428,25 +451,32 @@ def _check_maximal_fibers(ctx):
 # -- finite checks: remainder solving ------------------------------------------
 
 
-def _congruent_pick(alg, rng, planted, ideal):
-    """A random member of planted's class modulo the ideal; the class is
-    drawn from in ascending order, so a seed always picks the same one."""
-    cls = congruence_class(alg, planted, ideal).nonzero()[0]
-    return int(cls[int(rng.integers(len(cls)))])
+def _planted_instances(alg, rng, ideals, count):
+    """count random elements, and for each a random member of its class
+    modulo every ideal: the plantings and a trials x ideals target table.
+    Each class is drawn from in ascending order, so a seed always picks
+    the same instances."""
+    planted = np.array([rng.randrange(alg.n) for _ in range(count)], dtype=np.intp)
+    targets = np.empty((count, len(ideals)), dtype=np.intp)
+    for i, ideal in enumerate(ideals):
+        cls = congruence_class(alg, planted, ideal)
+        draw = np.array([rng.randrange(size) for size in cls.sum(axis=1).tolist()])
+        targets[:, i] = (cls.cumsum(axis=1) > draw[:, None]).argmax(axis=1)
+    return planted, targets
 
 
 def _check_crt_random(ctx):
     alg = ctx.alg
-    rng = np.random.default_rng(ctx.seed)
     maximal = maximal_mv_ideals(alg)
     if frozenset.intersection(*map(frozenset, maximal)) != {alg.zero}:
         _fail("maximal ideals do not intersect to zero")
-    for trial in range(ctx.crt_count):
-        planted = int(rng.integers(alg.n))
-        targets = [_congruent_pick(alg, rng, planted, ideal) for ideal in maximal]
-        got = crt_solve(alg, maximal, targets)
-        if got != planted:
-            _fail(f"trial {trial}: solved {got}, planted {planted}")
+    rng = random.Random(ctx.seed)
+    planted, targets = _planted_instances(alg, rng, maximal, ctx.crt_count)
+    got = crt_solve(alg, maximal, targets)
+    wrong = np.flatnonzero(got != planted)
+    if wrong.size:
+        trial = int(wrong[0])
+        _fail(f"trial {trial}: solved {got[trial]}, planted {planted[trial]}")
     return None
 
 
@@ -467,18 +497,18 @@ def _check_crt_negative(ctx):
 def _check_crt_term(ctx):
     alg = ctx.alg
     s = ctx.space
-    rng = np.random.default_rng(ctx.seed + 1)
     units = [int(s.generators[z]) for z in s.z_points]
     ideals = [frozenset(s.member[z].nonzero()[0].tolist()) for z in s.z_points]
-    for trial in range(min(ctx.crt_count, 50)):
-        planted = int(rng.integers(alg.n))
-        targets = [_congruent_pick(alg, rng, planted, ideal) for ideal in ideals]
-        t, b = crt_term(alg, units, targets, space=s)
-        if b != crt_solve(alg, ideals, targets):
+    rng = random.Random(ctx.seed + 1)
+    _, targets = _planted_instances(alg, rng, ideals, min(ctx.crt_count, 50))
+    scanned = crt_solve(alg, ideals, targets).tolist()
+    for trial, row in enumerate(targets.tolist()):
+        t, b = crt_term(alg, units, row, space=s)
+        if b != scanned[trial]:
             _fail(f"trial {trial}: term route disagrees with the scan route")
         folded = alg.zero
         for i, u in enumerate(units):
-            v = targets[i]
+            v = row[i]
             for _ in range(t):
                 v = int(alg.ominus[v, u])
             folded = int(alg.join[folded, v])
@@ -488,18 +518,13 @@ def _check_crt_term(ctx):
 
 
 def _check_tower_sandwich(ctx):
-    s = ctx.space
-    alg = ctx.alg
-    if alg.n <= 24:
-        pairs = [(a, u) for a in range(alg.n) for u in range(alg.n)]
+    n = ctx.alg.n
+    if n <= 24:
+        a, u = np.divmod(np.arange(n * n), n)
     else:
-        rng = np.random.default_rng(ctx.seed + 2)
-        pairs = [
-            (int(rng.integers(alg.n)), int(rng.integers(alg.n)))
-            for _ in range(400)
-        ]
-    for a, u in pairs:
-        tower_sandwich(s, a, u)
+        rng = random.Random(ctx.seed + 2)
+        a, u = np.array([[rng.randrange(n), rng.randrange(n)] for _ in range(400)]).T
+    tower_sandwich(ctx.space, a, u)
 
 
 def _check_ideal_join_coincidence(ctx):

@@ -9,6 +9,7 @@ import pytest
 from mvspectra.lattice import (
     FiniteDistLattice,
     FinitePoset,
+    _closure,
     _glb,
     _lub,
     transitive_closure,
@@ -85,6 +86,29 @@ def lattice_from_leq(leq, validate=True):
             join[a, b] = join[b, a] = _lub(poset.leq, a, b)
             meet[a, b] = meet[b, a] = _glb(poset.leq, a, b)
     return FiniteDistLattice(poset.leq, join, meet, validate=validate)
+
+
+# -- closure-fixpoint oracles for the ideal arithmetic -----------------------------
+
+
+def _pairwise(alg, table, left, right):
+    """Boolean "hit" vector over the carrier: the table entries of all
+    pairs from left x right."""
+    hit = np.zeros(alg.n, dtype=bool)
+    rows = np.fromiter(left, dtype=np.intp)
+    cols = np.fromiter(right, dtype=np.intp)
+    hit[table[rows[:, None], cols]] = True
+    return hit
+
+
+def oplus_bar_oracle(alg, i, j):
+    """Lattice-ideal closure of the set of pairwise sums."""
+    return _closure(alg.leq, alg.join, _pairwise(alg, alg.oplus, i, j))
+
+
+def ominus_bar_oracle(alg, f, i):
+    """Lattice-filter closure of the set of pairwise differences."""
+    return _closure(alg.leq.T, alg.meet, _pairwise(alg, alg.ominus, f, i))
 
 
 # -- scalar references for the vectorised rows of verify -----------------------

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvspectra.cli import main
 from mvspectra.mv import (
@@ -80,6 +82,38 @@ def test_check_json_reports_the_scans_result():
         )
         assert code == (0 if bad is None else 1)
         assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def relabelled_products(draw):
+    """A product of chains with carrier up to 64, and the same algebra on a
+    permuted carrier."""
+    factors = draw(
+        st.lists(st.integers(1, 63), min_size=1, max_size=6).filter(
+            lambda fs: np.prod([f + 1 for f in fs]) <= 64
+        )
+    )
+    alg = lukasiewicz_chain(factors[0])
+    for f in factors[1:]:
+        alg = product(alg, lukasiewicz_chain(f))
+    perm = draw(st.permutations(range(alg.n)))
+    return alg, relabelled(alg, perm)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(relabelled_products())
+def test_check_and_verify_print_the_same_bytes_after_relabelling(pair):
+    outputs = []
+    for alg in pair:
+        raw = json.dumps(algebra_to_json(alg))
+        outputs.append(
+            [
+                run(["check", "--input", raw, "--format", "json"]),
+                run(["verify", "--input", raw, "--suite", "all", "--format", "json"]),
+            ]
+        )
+    assert outputs[0] == outputs[1]
+    assert [code for code, _ in outputs[0]] == [0, 0]
 
 
 def test_check_chang_bounded():

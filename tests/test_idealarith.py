@@ -11,11 +11,15 @@ from mvspectra.idealarith import (
     is_lattice_filter,
     is_lattice_ideal,
     ominus_bar,
-    ominus_bar_oracle,
     oplus_bar,
-    oplus_bar_oracle,
+    sum_table,
 )
+from mvspectra.lattice import _bool_mm, _closure
 from mvspectra.mv import is_mv_ideal, lukasiewicz_chain, product
+from mvspectra.spectrum import MvDualSpace
+from mvspectra.verify import _generated_ideals
+
+from conftest import ideal_sets, ominus_bar_oracle, oplus_bar_oracle, relabelled
 
 
 def principal_ideals(alg):
@@ -65,6 +69,28 @@ def test_ominus_bar_matches_fixpoint_oracle(small_family):
                 got = ominus_bar(alg, f, i)
                 assert got == ominus_bar_oracle(alg, f, i), name
                 assert is_lattice_filter(alg, got)
+
+
+def test_sum_table_fold_matches_fixpoint_oracle(family):
+    # verify's ideal sums of points: hit rows off the sum table of I_x, each
+    # folded to the downset of its join, against the closure fixpoint
+    pair = product(lukasiewicz_chain(2), lukasiewicz_chain(4))
+    shuffled = relabelled(pair, np.random.default_rng(9).permutation(pair.n))
+    for name, alg in [*family.items(), ("relabelled L2xL4", shuffled)]:
+        member = MvDualSpace(alg).member
+        ideals = ideal_sets(member)
+        for x, row in enumerate(member):
+            table = sum_table(alg, row)
+            assert table.shape == (alg.n, alg.n)
+            direct = ideal_sets(_generated_ideals(alg, _bool_mm(member, table)))
+            for y in range(len(member)):
+                assert direct[y] == oplus_bar_oracle(alg, ideals[x], ideals[y]), name
+        # sums of principal ideals are already ideals here, so the fold is
+        # also held against the closure on rows that are not
+        rows = np.random.default_rng(alg.n).random((20, alg.n)) < 0.1
+        rows[:, alg.n - 1] |= ~rows.any(axis=1)
+        got = ideal_sets(_generated_ideals(alg, rows))
+        assert got == [_closure(alg.leq, alg.join, row) for row in rows], name
 
 
 def test_chain_sums_are_principal_at_truncated_sum():

@@ -56,13 +56,17 @@ def loaded_modules(body):
         (["check", "--input", BROKEN, "--format", "json"], 1, CHECK),
         (["spectrum", "--input", PROD, "--format", "json"], 0, SPECTRUM),
         (["verify", "--input", L4], 0, EVERY),
+        (["verify", "--input", '{"kind":"chang"}', "--chang-bound", "4"], 0, EVERY),
     ],
-    ids=["check", "check-rejects", "spectrum", "verify"],
+    ids=["check", "check-rejects", "spectrum", "verify", "verify-chang"],
 )
 def test_each_command_loads_only_its_layers(argv, code, expected):
+    # numpy.random is a lazy import that costs a process tens of
+    # milliseconds; verify draws its instances from the stdlib random
     body = (
         "import io\nfrom mvspectra.cli import main\n"
-        f"assert main({argv!r}, out=io.StringIO()) == {code}"
+        f"assert main({argv!r}, out=io.StringIO()) == {code}\n"
+        "assert 'numpy.random' not in sys.modules, 'loaded numpy.random'"
     )
     assert loaded_modules(body) == expected
 

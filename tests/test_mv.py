@@ -454,6 +454,10 @@ def test_congruence_class_matches_pairwise_test():
         for a in range(alg.n):
             want = [b for b in range(alg.n) if ideal_congruent(alg, b, a, ideal)]
             assert np.flatnonzero(congruence_class(alg, a, ideal)).tolist() == want
+        # an index array gives one class row per entry
+        rows = congruence_class(alg, np.arange(alg.n)[::-1], ideal)
+        for a, row in zip(range(alg.n - 1, -1, -1), rows):
+            assert (row == congruence_class(alg, a, ideal)).all()
 
 
 # ---------------------------------------------------------------- json

@@ -5,6 +5,8 @@ stalks are the factors, its sections are the full product, and the two
 projection kernels give the remainder instances pinned below.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,48 @@ def test_crt_join_is_the_ideal_sum():
         sh.crt_solve(alg, [first, second], [zero, top])
 
 
+def test_crt_batched_matches_scalar_calls(small_family):
+    # every (planted, targets) row at once equals one scalar call per row
+    for label, alg in small_family.items():
+        space = sp.build_dual_space(alg)
+        ideals = [point_ideal(space, z) for z in space.z_points]
+        classes = [
+            [[b for b in range(alg.n) if ideal_congruent(alg, b, a, i)] for a in range(alg.n)]
+            for i in ideals
+        ]
+        rows = np.array(
+            [[cls[a][(a * 7 + k) % len(cls[a])] for k, cls in enumerate(classes)]
+             for a in range(alg.n)]
+        )
+        got = sh.crt_solve(alg, ideals, rows)
+        assert got.tolist() == [sh.crt_solve(alg, ideals, r) for r in rows.tolist()]
+        assert got.tolist() == list(range(alg.n)), label
+
+
+def test_crt_batched_names_the_first_bad_row():
+    alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
+    with pytest.raises(Error) as exc:
+        sh.crt_solve(alg, [KERN_FIRST, frozenset({0})], [[0, 0], [8, 0]])
+    assert str(exc.value) == "row 1: targets 0 and 1 are incompatible modulo the join"
+    # the broken L1 x L2 of test_crt_messages_when_not_unique: [0, 5] has two
+    # solutions, [0, 0] and [0, 3] one each
+    base = product(lukasiewicz_chain(1), lukasiewicz_chain(2))
+    oplus = base.oplus.copy()
+    oplus[0, 2] = oplus[2, 0] = 1
+    oplus[4, 4] = 4
+    broken = MvAlgebra(base.neg.copy(), oplus, validate=False)
+    ideals = [frozenset({0, 1, 2}), frozenset({0, 3, 4})]
+    with pytest.raises(Error) as scalar:
+        sh.crt_solve(broken, ideals, [0, 5])
+    with pytest.raises(Error) as batched:
+        sh.crt_solve(broken, ideals, [[0, 0], [0, 3], [0, 5], [0, 5]])
+    assert str(batched.value) == f"row 2: {scalar.value}"
+    assert str(scalar.value) == "expected a unique solution, found 2"
+    with pytest.raises(Error, match="matching nonempty"):
+        sh.crt_solve(alg, [KERN_FIRST, KERN_SECOND], [[8, 3, 0]])
+    assert sh.crt_solve(alg, [KERN_FIRST, KERN_SECOND], np.zeros((0, 2), dtype=int)).shape == (0,)
+
+
 def test_crt_term_pinned(prod_space):
     alg = prod_space.algebra
     # units are the kernel generators; patches are disjoint singletons
@@ -437,19 +481,37 @@ def _tower_sets_by_comprehension(space, a, u):
 
 
 def test_tower_sandwich_all_pairs(small_family):
+    # one batched call over every pair, row by row against the scalar sets
     for label, alg in small_family.items():
         space = sp.build_dual_space(alg)
-        for a in range(alg.n):
-            for u in range(alg.n):
-                lhs, mid, rhs = sh.tower_sandwich(space, a, u)
-                assert lhs <= mid <= rhs
-                assert (lhs, mid, rhs) == _tower_sets_by_comprehension(space, a, u)
+        a, u = np.divmod(np.arange(alg.n * alg.n), alg.n)
+        lhs, mid, rhs = sh.tower_sandwich(space, a, u)
+        assert lhs.shape == mid.shape == rhs.shape == (len(a), len(space.member))
+        assert (lhs <= mid).all() and (mid <= rhs).all(), label
+        for p in range(len(a)):
+            sets = tuple(frozenset(np.flatnonzero(v[p]).tolist()) for v in (lhs, mid, rhs))
+            assert sets == _tower_sets_by_comprehension(space, int(a[p]), int(u[p])), label
+
+
+def test_towers_that_cycle_are_refused():
+    # broken tables where 0 minus 1 is 2 and 2 minus 1 is 0 again: the
+    # scalar tower and the batched sandwich both refuse the cycle
+    alg = MvAlgebra(np.array([2, 1, 0]), np.array([[0, 2, 2], [2, 2, 2], [2, 0, 2]]),
+                    validate=False)
+    assert alg.ominus[0, 1] == 2 and alg.ominus[2, 1] == 0
+    space = SimpleNamespace(
+        algebra=alg, member=np.zeros((1, 3), dtype=bool), k=np.array([0]),
+        order=SimpleNamespace(leq=np.ones((1, 1), dtype=bool)),
+    )
+    with pytest.raises(Error, match="failed to stabilize"):
+        sh.difference_tower(alg, 0, 1)
+    with pytest.raises(Error, match="failed to stabilize"):
+        sh.tower_sandwich(space, [1, 0], [0, 1])
 
 
 def test_tower_sandwich_collapses_here(prod_space):
     # the u-seeing set is a union of order components, hence already
     # down-closed, so at finite scale the two bounds pinch the middle
-    for a in range(prod_space.algebra.n):
-        for u in range(prod_space.algebra.n):
-            lhs, mid, rhs = sh.tower_sandwich(prod_space, a, u)
-            assert lhs == mid == rhs
+    n = prod_space.algebra.n
+    lhs, mid, rhs = sh.tower_sandwich(prod_space, *np.divmod(np.arange(n * n), n))
+    assert (lhs == mid).all() and (mid == rhs).all()

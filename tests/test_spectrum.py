@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 from mvspectra import spectrum as sp
 from mvspectra.chang import COFINITE, RADICAL, TRUNC, ChangAlgebra, ChangIdeal, ChangSpace
 from mvspectra.errors import Error
-from mvspectra.idealarith import oplus_bar_oracle
 from mvspectra.mv import MvAlgebra, is_maximal_mv_ideal, lukasiewicz_chain, product
 from mvspectra.verify import run_suite
 
-from conftest import ideal_sets, point_ideal, relabelled
+from conftest import ideal_sets, oplus_bar_oracle, point_ideal, relabelled
 
 
 def point_of(space, ideal):

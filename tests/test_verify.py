@@ -146,6 +146,11 @@ def _germ_carves_less_than_fiber(s):
     s.mk = np.array([0, 0, 4, 4, 0])
 
 
+def _undefine_a_sum(s):
+    # 0 + 1 is defined; both entries go, so + stays commutative
+    s.plus[0, 1] = s.plus[1, 0] = -1
+
+
 def _redirect_a_sum(s):
     # 3 + 4 is 3; 2 is another point over 4, and the entry stays defined
     s.plus[3, 4] = s.plus[4, 3] = 2
@@ -160,6 +165,8 @@ CORRUPTIONS = [
     ("sheaf-maximal", "germinal-ideals-carve-fibers", _germ_carves_less_than_fiber,
      "m.k fiber"),
     ("plus", "plus-matches-ideal-sums", _redirect_a_sum, "differs from the ideal sum"),
+    ("plus", "plus-matches-ideal-sums", _undefine_a_sum,
+     "(0, 1) undefined but the ideal sum is proper"),
 ]
 
 
