@@ -9,6 +9,8 @@ global sections of the resulting bundle.  Patching local data back together is a
 remainder problem, and on this base it is even solvable by a term.
 """
 
+import numpy as np
+
 from mvspectra import (
     build_dual_space,
     build_etale,
@@ -46,9 +48,10 @@ print("patched element:", alg.labels[res.element])
 
 # The same reconstruction as remainder solving: congruent to (2,0) mod the
 # first kernel and to (0,3) mod the second.
-kern_first = frozenset(range(4))
-kern_second = frozenset({0, 4, 8})
-b = crt_solve(alg, [kern_first, kern_second], [8, 3])
+# Each kernel is a boolean row over the twelve elements (i, j) = 4 i + j.
+i, j = np.divmod(np.arange(alg.n), 4)
+kernels = np.array([i == 0, j == 0])  # {0} x 4-chain, 3-chain x {0}
+b = crt_solve(alg, kernels, [8, 3])
 print("solved:", alg.labels[b])
 
 # And term-definably: subtract each unit t times, then join.  For these

@@ -5,7 +5,8 @@ members; the difference of a filter and an ideal collects everything above
 a difference.  Both are again an ideal respectively a filter, and they are
 adjoint to each other.  The comprehension route here is cross-checked in
 the tests against closure-fixpoint oracles that iterate on boolean
-membership vectors.
+membership rows; ideals and filters are boolean rows over the carrier
+throughout.
 
 sum_table tabulates the sums with one fixed ideal, so that the pairwise
 sums with any number of other ideals are one boolean matrix product; the
@@ -19,50 +20,38 @@ import numpy as np
 
 from .errors import AlgebraError
 from .lattice import is_lattice_filter, is_lattice_ideal
+from .mv import require_rows
 
 
-def _as_indices(alg, members, what):
-    idx = np.fromiter(members, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= alg.n):
-        raise AlgebraError(f"{what} contains out-of-range elements")
-    return idx
-
-
-def decided(alg, test, members):
-    """test(alg, members), run once per algebra and member set: the fast
+def decided(alg, test, row):
+    """test(alg, row), run once per algebra and boolean row: the fast
     routes (oplus_bar, ominus_bar, sheaf.crt_solve) validate the same few
     ideals over and over.  The tests themselves and the oracles stay uncached."""
-    # the member set as a sorted tuple, a sixth of a frozenset's size
-    key = (test.__name__, tuple(sorted(set(members))))
+    require_rows(alg, row)
+    key = (test.__name__, np.packbits(row).tobytes())
     if key not in alg.verdicts:
-        alg.verdicts[key] = test(alg, members)
+        alg.verdicts[key] = test(alg, row)
     return alg.verdicts[key]
 
 
 def oplus_bar(alg, i, j):
-    """{c : c <= a oplus b for some a in i, b in j}."""
-    ii = _as_indices(alg, i, "ideal")
-    jj = _as_indices(alg, j, "ideal")
-    if not all(decided(alg, is_lattice_ideal, x.tolist()) for x in (ii, jj)):
+    """The row of {c : c <= a oplus b for some a in i, b in j}."""
+    if not (decided(alg, is_lattice_ideal, i) and decided(alg, is_lattice_ideal, j)):
         raise AlgebraError("oplus_bar needs lattice ideals")
     sums = np.zeros(alg.n, dtype=bool)
-    sums[alg.oplus[ii[:, None], jj]] = True
-    below = alg.leq[:, sums].any(axis=1)
-    return frozenset(below.nonzero()[0].tolist())
+    sums[alg.oplus[np.ix_(i, j)]] = True
+    return alg.leq[:, sums].any(axis=1)
 
 
 def ominus_bar(alg, f, i):
-    """{c : c >= a ominus b for some a in f, b in i}."""
-    ff = _as_indices(alg, f, "filter")
-    ii = _as_indices(alg, i, "ideal")
-    if not decided(alg, is_lattice_filter, ff.tolist()):
+    """The row of {c : c >= a ominus b for some a in f, b in i}."""
+    if not decided(alg, is_lattice_filter, f):
         raise AlgebraError("ominus_bar needs a lattice filter on the left")
-    if not decided(alg, is_lattice_ideal, ii.tolist()):
+    if not decided(alg, is_lattice_ideal, i):
         raise AlgebraError("ominus_bar needs a lattice ideal on the right")
     diffs = np.zeros(alg.n, dtype=bool)
-    diffs[alg.ominus[ff[:, None], ii]] = True
-    above = alg.leq[diffs, :].any(axis=0)
-    return frozenset(above.nonzero()[0].tolist())
+    diffs[alg.ominus[np.ix_(f, i)]] = True
+    return alg.leq[diffs, :].any(axis=0)
 
 
 def sum_table(alg, row):
@@ -78,6 +67,6 @@ def sum_table(alg, row):
 
 def adjunction_holds(alg, f, i, j):
     """f ominus_bar i misses j exactly when f misses j oplus_bar i."""
-    left = ominus_bar(alg, f, i).isdisjoint(j)
-    right = f <= frozenset(range(alg.n)) - oplus_bar(alg, j, i)
+    left = not (ominus_bar(alg, f, i) & j).any()
+    right = not (f & oplus_bar(alg, j, i)).any()
     return left == right

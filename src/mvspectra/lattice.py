@@ -263,20 +263,10 @@ def _mask(bits):
 # -- dual space ------------------------------------------------------------
 
 
-def membership_rows(n, sets):
-    """One boolean row over the carrier 0..n-1 per set of elements."""
-    rows = np.zeros((len(sets), n), dtype=bool)
-    for row, members in zip(rows, sets):
-        row[np.fromiter(members, dtype=np.intp)] = True
-    return rows
-
-
-def _closed_set(order, op, members):
-    """members is nonempty, order[a, b] never leads from outside to inside,
-    and op keeps every pair of members inside: the one test behind lattice
-    ideals and filters here and MV-ideals in mv.py."""
-    inside = np.zeros(order.shape[0], dtype=bool)
-    inside[np.fromiter(members, dtype=np.intp)] = True
+def _closed_set(order, op, inside):
+    """The boolean row inside is nonempty, order[a, b] never leads from
+    outside to inside, and op keeps every pair of members inside: the one
+    test behind lattice ideals and filters here and MV-ideals in mv.py."""
     idx = inside.nonzero()[0]
     return bool(
         idx.size
@@ -286,51 +276,45 @@ def _closed_set(order, op, members):
 
 
 def _closure(order, op, inside):
-    """Least superset of the boolean membership vector inside with no
-    order[a, b] from outside to inside and with op keeping every pair of
-    members inside, as a frozenset: the slow fixpoint behind the closure
-    oracles.  Rounds are semi-naive: only the members added last round
-    have their order images taken and are paired by op with all members,
-    since every older pair was handled when its younger end was added.  A
-    round whose order images cover the carrier (a member above everything
-    has entered) returns the whole carrier, which is then the fixpoint."""
-    n = inside.shape[0]
+    """Least superset of the boolean row inside with no order[a, b] from
+    outside to inside and with op keeping every pair of members inside,
+    as a row: the slow fixpoint behind the closure oracles.  Rounds are
+    semi-naive: only the members added last round have their order images
+    taken and are paired by op with all members, since every older pair
+    was handled when its younger end was added.  A round whose order
+    images cover the carrier (a member above everything has entered)
+    returns the whole carrier, which is then the fixpoint."""
     inside = inside.copy()
     new = inside.nonzero()[0]
     while new.size:
         hit = order[:, new].any(axis=1)
         if hit.all():
-            return frozenset(range(n))
+            return hit
         idx = inside.nonzero()[0]
         hit[op[new[:, None], idx]] = True
         if idx.size > new.size:  # else new is idx and this is the same set
             hit[op[idx[:, None], new]] = True
         new = (hit & ~inside).nonzero()[0]
         inside |= hit
-    return frozenset(inside.nonzero()[0].tolist())
+    return inside
 
 
-def is_lattice_ideal(lat, members):
-    """Nonempty downset closed under pairwise joins; lat is anything with
-    leq and join tables (a lattice or an MV-algebra)."""
-    return _closed_set(lat.leq, lat.join, members)
+def is_lattice_ideal(lat, row):
+    """Nonempty downset closed under pairwise joins, given as a boolean row;
+    lat is anything with leq and join tables (a lattice or an MV-algebra)."""
+    return _closed_set(lat.leq, lat.join, row)
 
 
-def is_lattice_filter(lat, members):
+def is_lattice_filter(lat, row):
     """Nonempty upset closed under pairwise meets."""
-    return _closed_set(lat.leq.T, lat.meet, members)
+    return _closed_set(lat.leq.T, lat.meet, row)
 
 
-def is_prime_ideal(lat, members):
-    s = frozenset(members)
-    if not is_lattice_ideal(lat, s) or len(s) == lat.n:
+def is_prime_ideal(lat, row):
+    """Proper lattice ideal holding a or b whenever it holds a meet b."""
+    if not is_lattice_ideal(lat, row) or row.all():
         return False
-    return all(
-        a in s or b in s
-        for a in range(lat.n)
-        for b in range(lat.n)
-        if int(lat.meet[a, b]) in s
-    )
+    return not (row[lat.meet] & ~row[:, None] & ~row[None, :]).any()
 
 
 def _canonical(rows):
@@ -355,9 +339,9 @@ def prime_ideals_bruteforce(lat, limit=2_000_000):
     """Oracle path: scan every downset of the carrier order."""
     rows = []
     for mask in lat.poset().downsets(limit=limit):
-        members = frozenset(i for i in range(lat.n) if mask >> i & 1)
-        if 0 < len(members) < lat.n and is_prime_ideal(lat, members):
-            rows.append([i in members for i in range(lat.n)])
+        row = np.array([mask >> i & 1 for i in range(lat.n)], dtype=bool)
+        if is_prime_ideal(lat, row):
+            rows.append(row)
     return _canonical(np.array(rows, dtype=bool).reshape(-1, lat.n))
 
 
@@ -376,29 +360,36 @@ def dual_order(member):
 
 
 def lattice_from_downsets(poset):
-    """The lattice of all downsets of a poset, labelled by those downsets."""
-    masks = sorted(poset.downsets(), key=lambda m: (bin(m).count("1"), m))
+    """The lattice of all downsets of a poset, labelled by those downsets,
+    ordered by size and then by bitmask value.
+
+    Each downset is packed into a fixed-width byte key, the keys are sorted
+    once, and the union and intersection of every pair are found among
+    them by np.searchsorted, a block of rows at a time.  Both operations
+    commute, so each block starts at its own first row and the lower
+    triangle is mirrored in at the end."""
+    masks = sorted(poset.downsets(), key=lambda m: (m.bit_count(), m))
     labels = [frozenset(k for k in range(poset.n) if m >> k & 1) for m in masks]
-    if poset.n < 63:
-        arr = np.array(masks, dtype=np.int64)
-        union = np.bitwise_or.outer(arr, arr)
-        inter = np.bitwise_and.outer(arr, arr)
-        value_order = np.argsort(arr, kind="stable").astype(np.int64)
-        ordered = arr[value_order]
-        join = value_order[np.searchsorted(ordered, union)]
-        meet = value_order[np.searchsorted(ordered, inter)]
-        leq = inter == arr[:, None]
-        return FiniteDistLattice(leq, join, meet, labels=labels, validate=False)
-    index = {m: i for i, m in enumerate(masks)}
-    n = len(masks)
-    leq = np.zeros((n, n), dtype=bool)
-    join = np.zeros((n, n), dtype=np.int64)
-    meet = np.zeros((n, n), dtype=np.int64)
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            leq[i, j] = mi & ~mj == 0
-            join[i, j] = index[mi | mj]
-            meet[i, j] = index[mi & mj]
+    n, width = len(masks), poset.n // 8 + 1
+    packed = np.frombuffer(
+        b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8
+    ).reshape(n, width)
+    key = np.dtype((np.void, width))
+    keys = packed.view(key).reshape(n)
+    by_key = np.argsort(keys)
+    ordered = keys[by_key]
+    join = np.empty((n, n), dtype=np.int64)
+    meet = np.empty((n, n), dtype=np.int64)
+    rows = max(1, (1 << 20) // (n * width))
+    for lo in range(0, n, rows):
+        block = packed[lo:lo + rows, None]
+        for table, op in ((join, np.bitwise_or), (meet, np.bitwise_and)):
+            found = op(block, packed[None, lo:]).view(key).reshape(len(block), -1)
+            table[lo:lo + rows, lo:] = by_key[np.searchsorted(ordered, found)]
+    lower = np.tri(n, k=-1, dtype=bool)
+    join[lower] = join.T[lower]
+    meet[lower] = meet.T[lower]
+    leq = meet == np.arange(n)[:, None]
     return FiniteDistLattice(leq, join, meet, labels=labels, validate=False)
 
 

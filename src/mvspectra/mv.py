@@ -279,63 +279,76 @@ def product(a, b, cap=PRODUCT_CAP):
 
 
 # -- MV-ideals ---------------------------------------------------------------
+# A subset of the carrier (an ideal, a seed, a congruence kernel) is a
+# boolean row of length n, and a family of them a boolean matrix.
 
 
-def is_mv_ideal(alg, members):
+def require_rows(alg, rows, ndim=1):
+    """Refuse anything but a boolean array of ndim axes whose last runs over
+    the carrier: a frozenset or an index list would otherwise be misread."""
+    if not (
+        isinstance(rows, np.ndarray)
+        and rows.dtype == bool
+        and rows.ndim == ndim
+        and rows.shape[-1] == alg.n
+    ):
+        raise AlgebraError(f"subsets of the carrier must be boolean rows of length {alg.n}")
+
+
+def is_mv_ideal(alg, row):
     """Downset containing zero, closed under truncated addition."""
     from .lattice import _closed_set
 
-    s = frozenset(members)
-    return alg.zero in s and _closed_set(alg.leq, alg.oplus, s)
+    require_rows(alg, row)
+    return bool(row[alg.zero]) and _closed_set(alg.leq, alg.oplus, row)
 
 
 def ideal_generated(alg, seed):
-    """Fixpoint closure of seed under downward passage and addition.
+    """Fixpoint closure of the seed row and zero under downward passage and
+    addition.
 
     Slow oracle: verify's ideal-join-coincidence check holds it against
     idealarith.oplus_bar, the route the program computes joins with.
     """
     from .lattice import _closure
 
-    inside = np.zeros(alg.n, dtype=bool)
-    inside[[alg.zero, *(int(x) for x in seed)]] = True
-    return _closure(alg.leq, alg.oplus, inside)
+    require_rows(alg, seed)
+    return _closure(alg.leq, alg.oplus, seed | (np.arange(alg.n) == alg.zero))
 
 
-def is_prime_mv_ideal(alg, members):
+def is_prime_mv_ideal(alg, row):
     """Proper MV-ideal containing a ominus b or b ominus a for every pair;
     the slow oracle the tests hold the dual space's Y points against."""
-    s = frozenset(int(x) for x in members)
-    if not is_mv_ideal(alg, s) or len(s) == alg.n:
+    if not is_mv_ideal(alg, row) or row.all():
         return False
-    return all(
-        int(alg.ominus[a, b]) in s or int(alg.ominus[b, a]) in s
-        for a in range(alg.n)
-        for b in range(a + 1, alg.n)
-    )
+    return bool((row[alg.ominus] | row[alg.ominus.T]).all())
 
 
-def is_maximal_mv_ideal(alg, members):
+def is_maximal_mv_ideal(alg, row):
     """Proper MV-ideal whose every one-element extension generates the whole
     carrier; the slow oracle for maximal_mv_ideals."""
-    s = frozenset(int(x) for x in members)
-    if not is_mv_ideal(alg, s) or len(s) == alg.n:
+    if not is_mv_ideal(alg, row) or row.all():
         return False
-    full = frozenset(range(alg.n))
-    return all(ideal_generated(alg, s | {a}) == full for a in range(alg.n) if a not in s)
+    one_more = np.arange(alg.n) == np.flatnonzero(~row)[:, None]
+    return all(ideal_generated(alg, row | extra).all() for extra in one_more)
+
+
+def _idempotent_downsets(alg, idem):
+    """The downsets of the given idempotents in canonical order, one row each."""
+    from .lattice import _canonical
+
+    return _canonical(alg.leq[:, idem].T)
 
 
 def enumerate_mv_ideals(alg):
-    """All MV-ideals: downsets of idempotents, in subset-lexicographic order.
+    """All MV-ideals: downsets of idempotents, one row each in ascending
+    order of their member tuples.
 
     A finite MV-ideal is a downset with a maximum m, and addition-closure
     forces m oplus m = m; conversely the downset of any idempotent is an
     MV-ideal.  The brute-force scan over downsets lives in the tests.
     """
-    out = [
-        frozenset(np.flatnonzero(alg.leq[:, e]).tolist()) for e in alg.idempotents
-    ]
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+    return _idempotent_downsets(alg, alg.idempotents)
 
 
 def maximal_mv_ideals(alg):
@@ -349,24 +362,19 @@ def maximal_mv_ideals(alg):
     proper = [e for e in alg.idempotents if not alg.leq[:, e].all()]
     above = alg.leq[np.ix_(proper, proper)]
     only_self = (above == np.eye(len(proper), dtype=bool)).all(axis=1)
-    out = [
-        frozenset(np.flatnonzero(alg.leq[:, e]).tolist())
-        for e, top in zip(proper, only_self)
-        if top
-    ]
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+    return _idempotent_downsets(alg, np.array(proper, dtype=np.intp)[only_self])
 
 
 def ideal_congruent(alg, a, b, ideal):
-    return int(alg.ominus[a, b]) in ideal and int(alg.ominus[b, a]) in ideal
+    require_rows(alg, ideal)
+    return bool(ideal[alg.ominus[a, b]] and ideal[alg.ominus[b, a]])
 
 
 def congruence_class(alg, a, ideal):
     """Boolean vector over the carrier: b is congruent to a modulo the
-    ideal.  For an index array a, one such row per entry."""
-    inside = np.zeros(alg.n, dtype=bool)
-    inside[list(ideal)] = True
-    return inside[alg.ominus[:, a]].T & inside[alg.ominus[a, :]]
+    ideal row.  For an index array a, one such row per entry."""
+    require_rows(alg, ideal)
+    return ideal[alg.ominus[:, a]].T & ideal[alg.ominus[a, :]]
 
 
 @dataclass(frozen=True)
@@ -376,32 +384,23 @@ class Quotient:
 
 
 def quotient(alg, ideal):
-    """Quotient by the congruence of an MV-ideal, reps in carrier order;
-    the oracle the tests hold the sheaf stalks against."""
-    ideal = frozenset(int(x) for x in ideal)
+    """Quotient by the congruence of an MV-ideal row, each class named by
+    its least element, classes in carrier order; the oracle the tests hold
+    the sheaf stalks against."""
     if not is_mv_ideal(alg, ideal):
         raise AlgebraError("quotient requires an MV-ideal")
-    classes = []
-    proj = [-1] * alg.n
-    for a in range(alg.n):
-        if proj[a] >= 0:
-            continue
-        k = len(classes)
-        members = [b for b in range(alg.n) if ideal_congruent(alg, a, b, ideal)]
-        for b in members:
-            proj[b] = k
-        classes.append(members)
-    m = len(classes)
-    neg = np.zeros(m, dtype=np.int64)
-    oplus = np.zeros((m, m), dtype=np.int64)
-    for k, members in enumerate(classes):
-        neg[k] = proj[int(alg.neg[members[0]])]
-        for k2, members2 in enumerate(classes):
-            oplus[k, k2] = proj[int(alg.oplus[members[0], members2[0]])]
-    labels = tuple(alg.labels[members[0]] for members in classes)
+    least = congruence_class(alg, np.arange(alg.n), ideal).argmax(axis=1)
+    reps = np.flatnonzero(least == np.arange(alg.n))
+    proj = np.searchsorted(reps, least)
     return Quotient(
-        algebra=MvAlgebra(neg, oplus, zero=proj[alg.zero], labels=labels, validate=False),
-        projection=tuple(proj),
+        algebra=MvAlgebra(
+            proj[alg.neg[reps]],
+            proj[alg.oplus[np.ix_(reps, reps)]],
+            zero=int(proj[alg.zero]),
+            labels=tuple(alg.labels[r] for r in reps),
+            validate=False,
+        ),
+        projection=tuple(proj.tolist()),
     )
 
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlgebraError, CapExceeded
-from .lattice import _bool_mm, congruence_of_subspace, membership_rows
+from .lattice import _bool_mm, congruence_of_subspace
 from .idealarith import decided, oplus_bar
-from .mv import SCHEMA, ideal_congruent, is_mv_ideal
+from .mv import SCHEMA, ideal_congruent, is_mv_ideal, require_rows
 from .spectrum import MvDualSpace
 
 BASE_PRIME = "prime"
@@ -33,7 +33,7 @@ BASE_MAXIMAL = "maximal"
 @dataclass(frozen=True)
 class Stalk:
     point: int
-    ideal: frozenset
+    ideal: np.ndarray  # boolean row: the class of zero
     projection: np.ndarray  # class of each element, by first occurrence
 
     @property
@@ -64,7 +64,8 @@ class EtaleInstance:
 
 
 def germinal_ideal(space, z):
-    """Intersection of the prime MV ideals below a maximal point.
+    """Intersection of the prime MV ideals below a maximal point, as a
+    boolean row.
 
     The subspace it carves out, {x : germ inside I_k(x)}, is the m.k fiber
     of z; verify's germinal-ideals-carve-fibers checks that identity.
@@ -73,7 +74,7 @@ def germinal_ideal(space, z):
         raise AlgebraError("germinal ideals are indexed by maximal points")
     leq = space.order.leq
     below = [y for y in space.y_points if leq[y, z]]
-    return frozenset(np.flatnonzero(space.member[below].all(axis=0)).tolist())
+    return space.member[below].all(axis=0)
 
 
 def decomposition_sheaf(space, q, base_points, base_leq, base=None):
@@ -89,8 +90,7 @@ def decomposition_sheaf(space, q, base_points, base_leq, base=None):
     stalks = []
     for pos, pt in enumerate(base_points):
         proj = congruence_of_subspace(space.member[q == pos])
-        ideal = frozenset(np.flatnonzero(proj == proj[zero]).tolist())
-        stalks.append(Stalk(point=pt, ideal=ideal, projection=proj))
+        stalks.append(Stalk(point=pt, ideal=proj == proj[zero], projection=proj))
     return EtaleInstance(
         space, base, tuple(base_points), q, base_leq, tuple(stalks)
     )
@@ -233,7 +233,7 @@ def eta_check(inst, cap=10**6):
         "stalks": [
             {
                 "point": int(st.point),
-                "ideal": sorted(st.ideal),
+                "ideal": np.flatnonzero(st.ideal).tolist(),
                 "size": st.size,
             }
             for st in inst.stalks
@@ -284,22 +284,23 @@ def eta_check(inst, cap=10**6):
 def crt_solve(alg, ideals, targets):
     """The unique element congruent to each target modulo its ideal.
 
-    Needs MV ideals with zero intersection and pairwise-compatible targets;
-    compatibility is modulo the join of the two ideals.  targets is one
-    target per ideal, or a 2-D array of such rows: then every row is solved
-    at once against ideals validated once, and an array of solutions comes
-    back.  A solution is congruent to every target, so compatibility is
-    only scanned, for the message, when there is none or more than one; a
-    2-D call names the first such row.
+    ideals is a boolean matrix, one MV ideal per row, with zero
+    intersection; targets must be pairwise compatible, modulo the join of
+    the two ideals.  targets is one target per ideal, or a 2-D array of
+    such rows: then every row is solved at once against ideals validated
+    once, and an array of solutions comes back.  A solution is congruent
+    to every target, so compatibility is only scanned, for the message,
+    when there is none or more than one; a 2-D call names the first such
+    row.
     """
+    require_rows(alg, ideals, ndim=2)
     t = np.asarray(targets, dtype=np.intp)
-    if not ideals or t.ndim not in (1, 2) or t.shape[-1] != len(ideals):
+    if not len(ideals) or t.ndim not in (1, 2) or t.shape[-1] != len(ideals):
         raise AlgebraError("need matching nonempty ideal and target lists")
-    for i in ideals:
-        if not decided(alg, is_mv_ideal, i):
+    for row in ideals:
+        if not decided(alg, is_mv_ideal, row):
             raise AlgebraError("remainder solving needs MV ideals")
-    inside = membership_rows(alg.n, ideals)
-    if inside.all(axis=0).nonzero()[0].tolist() != [alg.zero]:
+    if ideals.all(axis=0).nonzero()[0].tolist() != [alg.zero]:
         raise AlgebraError("the ideals do not intersect to zero")
     # b is congruent to t modulo I when both b ominus t and t ominus b lie
     # in I: one gather per direction gives every row's class under every
@@ -307,8 +308,8 @@ def crt_solve(alg, ideals, targets):
     rows = t.reshape(-1, len(ideals))
     which = np.arange(len(ideals))[:, None]
     solved = (
-        inside[which, alg.ominus[:, rows].transpose(1, 2, 0)]
-        & inside[which, alg.ominus[rows, :]]
+        ideals[which, alg.ominus[:, rows].transpose(1, 2, 0)]
+        & ideals[which, alg.ominus[rows, :]]
     ).all(axis=1)
     found = solved.sum(axis=1)
     if (found != 1).any():

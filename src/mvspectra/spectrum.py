@@ -39,7 +39,6 @@ from .lattice import (
     dual_order,
     enumerate_prime_ideals,
     lattice_isomorphic,
-    membership_rows,
     stone_map,
 )
 from .mv import SCHEMA, MvAlgebra, enumerate_mv_ideals, maximal_mv_ideals
@@ -88,7 +87,7 @@ class MvDualSpace:
         diagonal = self.plus.diagonal()
         self.y_points = tuple(np.flatnonzero(diagonal == np.arange(npts)).tolist())
         self.y_set = frozenset(self.y_points)
-        maximal = membership_rows(n, maximal_mv_ideals(alg))
+        maximal = maximal_mv_ideals(alg)
         ys = np.array(self.y_points, dtype=np.intp)
         is_max = (member[ys][:, None] == maximal).all(axis=2).any(axis=1)
         self.z_points = tuple(ys[is_max].tolist())
@@ -239,13 +238,11 @@ def k_via_ideal_scan(space, x):
     ideals = enumerate_mv_ideals(alg)
     # I_x is a lattice ideal, so I_x +bar J lies inside it exactly when the
     # hit row of I_x + J does
-    hits = _bool_mm(membership_rows(alg.n, ideals), sum_table(alg, row))
-    good = [j for j, hit in zip(ideals, hits) if not (hit & ~row).any()]
-    best = max(good, key=len)
-    if any(not j <= best for j in good):
+    good = ideals[~(_bool_mm(ideals, sum_table(alg, row)) & ~row).any(axis=1)]
+    best = good[good.sum(axis=1).argmax()]
+    if (good & ~best).any():
         raise AlgebraError("addable ideals have no largest member")
-    inside = membership_rows(alg.n, [best])[0]
-    out = int(space._points_of(inside, "largest addable ideal"))
+    out = int(space._points_of(best, "largest addable ideal"))
     if out not in space.y_set:
         raise AlgebraError("largest addable ideal is not an MV point")
     return out
@@ -253,10 +250,8 @@ def k_via_ideal_scan(space, x):
 
 def k_via_filter_difference(space, x):
     """Second route: the complement of F_x -bar I_x is the same point."""
-    alg = space.algebra
     row = space.member[x]
-    upper = ominus_bar(alg, (~row).nonzero()[0], row.nonzero()[0])
-    outside = ~membership_rows(alg.n, [upper])[0]
+    outside = ~ominus_bar(space.algebra, ~row, row)
     return int(space._points_of(outside, "filter-difference complement"))
 
 

@@ -56,14 +56,9 @@ def relabelled(alg, perm, validate=True):
     )
 
 
-def ideal_sets(member):
-    """The ideal of each boolean membership row, as a frozenset."""
-    return [frozenset(np.flatnonzero(row).tolist()) for row in member]
-
-
-def point_ideal(space, x):
-    """The ideal of point x of a finite dual space, as a frozenset."""
-    return frozenset(np.flatnonzero(space.member[x]).tolist())
+def subset(n, *members):
+    """The boolean row over 0..n-1 holding the given elements."""
+    return np.isin(np.arange(n), members)
 
 
 def poset_from_pairs(n, pairs):
@@ -88,16 +83,32 @@ def lattice_from_leq(leq, validate=True):
     return FiniteDistLattice(poset.leq, join, meet, validate=validate)
 
 
+def lattice_from_downsets_reference(poset):
+    """The downset lattice by a double loop over all pairs of bitmasks: the
+    reference for the packed-key search of lattice.lattice_from_downsets."""
+    masks = sorted(poset.downsets(), key=lambda m: (bin(m).count("1"), m))
+    labels = [frozenset(k for k in range(poset.n) if m >> k & 1) for m in masks]
+    index = {m: i for i, m in enumerate(masks)}
+    n = len(masks)
+    leq = np.zeros((n, n), dtype=bool)
+    join = np.zeros((n, n), dtype=np.int64)
+    meet = np.zeros((n, n), dtype=np.int64)
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            leq[i, j] = mi & ~mj == 0
+            join[i, j] = index[mi | mj]
+            meet[i, j] = index[mi & mj]
+    return FiniteDistLattice(leq, join, meet, labels=labels, validate=False)
+
+
 # -- closure-fixpoint oracles for the ideal arithmetic -----------------------------
 
 
 def _pairwise(alg, table, left, right):
-    """Boolean "hit" vector over the carrier: the table entries of all
-    pairs from left x right."""
+    """Boolean "hit" row over the carrier: the table entries of all pairs
+    from the rows left x right."""
     hit = np.zeros(alg.n, dtype=bool)
-    rows = np.fromiter(left, dtype=np.intp)
-    cols = np.fromiter(right, dtype=np.intp)
-    hit[table[rows[:, None], cols]] = True
+    hit[table[np.ix_(left, right)]] = True
     return hit
 
 

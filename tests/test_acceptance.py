@@ -149,8 +149,8 @@ def test_criterion_9_negative_controls():
     assert not res.ok and res.violation is not None
 
     # remainder solving rejects clashing targets, naming the pair
-    kern_first = frozenset(range(4))
+    kern_first_and_zero = np.array([np.arange(12) < 4, np.arange(12) == 0])
     with pytest.raises(Error, match="incompatible"):
-        sh.crt_solve(alg, [kern_first, frozenset({0})], [8, 0])
+        sh.crt_solve(alg, kern_first_and_zero, [8, 0])
 
     print("criterion 9 (negative controls): PASS")

@@ -116,6 +116,40 @@ def test_check_and_verify_print_the_same_bytes_after_relabelling(pair):
     assert [code for code, _ in outputs[0]] == [0, 0]
 
 
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(relabelled_products())
+def test_spectrum_json_after_relabelling_matches_through_the_permutation(pair):
+    alg, moved = pair
+    # element a of alg is element perm[a] of moved; product labels are unique
+    perm = np.array([moved.labels.index(label) for label in alg.labels])
+    docs = []
+    for a in pair:
+        code, text = run(["spectrum", "--input", json.dumps(algebra_to_json(a)), "--format", "json"])
+        assert code == 0
+        docs.append(json.loads(text))
+    orig, rel = docs
+    assert orig.keys() == rel.keys()
+    assert (orig["schema"], orig["kind"]) == (rel["schema"], rel["kind"])
+    # each point is matched by its ideal mapped through the permutation
+    point_of = {tuple(p["ideal"]): x for x, p in enumerate(rel["points"])}
+    match = np.array(
+        [point_of[tuple(sorted(perm[p["ideal"]].tolist()))] for p in orig["points"]]
+    )
+    assert sorted(match.tolist()) == list(range(len(rel["points"])))
+    assert [p["generator"] for p in orig["points"]] == [
+        rel["points"][x]["generator"] for x in match
+    ]
+    assert sorted(match[orig["order"]].tolist()) == sorted(rel["order"])
+    assert match[orig["involution"]].tolist() == [rel["involution"][x] for x in match]
+    plus = np.array(orig["plus"])
+    mapped = np.where(plus >= 0, match[plus], -1)
+    assert (np.array(rel["plus"])[np.ix_(match, match)] == mapped).all()
+    for key in ("Y", "Z"):
+        assert sorted(match[orig[key]].tolist()) == rel[key]
+    assert match[orig["k"]].tolist() == [rel["k"][x] for x in match]
+    assert sorted(match[orig["m"]].tolist()) == rel["m"]
+
+
 def test_check_chang_bounded():
     code, text = run(["check", "--input", CHANG, "--chang-bound", "6"])
     assert code == 0 and text == "ok\n"

@@ -19,26 +19,27 @@ from mvspectra.mv import is_mv_ideal, lukasiewicz_chain, product
 from mvspectra.spectrum import MvDualSpace
 from mvspectra.verify import _generated_ideals
 
-from conftest import ideal_sets, ominus_bar_oracle, oplus_bar_oracle, relabelled
+from conftest import ominus_bar_oracle, oplus_bar_oracle, relabelled, subset
 
 
 def principal_ideals(alg):
-    return [frozenset(np.flatnonzero(alg.leq[:, a]).tolist()) for a in range(alg.n)]
+    """Row a is the downset of a."""
+    return alg.leq.T
 
 
 def principal_filters(alg):
-    return [frozenset(np.flatnonzero(alg.leq[a, :]).tolist()) for a in range(alg.n)]
+    """Row a is the upset of a."""
+    return alg.leq
 
 
 def test_ideal_and_filter_predicates():
     alg = product(lukasiewicz_chain(1), lukasiewicz_chain(2))
     for i in principal_ideals(alg):
         assert is_lattice_ideal(alg, i)
-        assert not is_lattice_ideal(alg, frozenset())
-    top = frozenset(range(alg.n))
-    assert is_lattice_filter(alg, top)
+    assert not is_lattice_ideal(alg, np.zeros(alg.n, dtype=bool))
+    assert is_lattice_filter(alg, np.ones(alg.n, dtype=bool))
     # a downset missing join closure
-    down_two = {a for a in range(alg.n) if alg.labels[a] in ("(0,0)", "(0,1)", "(1,0)")}
+    down_two = np.isin(alg.labels, ["(0,0)", "(0,1)", "(1,0)"])
     assert not is_lattice_ideal(alg, down_two)
     assert not is_lattice_filter(alg, down_two)
 
@@ -46,11 +47,9 @@ def test_ideal_and_filter_predicates():
 def test_inputs_validated():
     alg = lukasiewicz_chain(3)
     with pytest.raises(AlgebraError):
-        oplus_bar(alg, {0, 2}, {0})
+        oplus_bar(alg, subset(4, 0, 2), subset(4, 0))
     with pytest.raises(AlgebraError):
-        ominus_bar(alg, {0}, {0})  # {0} is not a filter
-    with pytest.raises(AlgebraError):
-        oplus_bar(alg, {0, 99}, {0})
+        ominus_bar(alg, subset(4, 0), subset(4, 0))  # {0} is not a filter
 
 
 def test_oplus_bar_matches_fixpoint_oracle(small_family):
@@ -58,7 +57,7 @@ def test_oplus_bar_matches_fixpoint_oracle(small_family):
         for i in principal_ideals(alg):
             for j in principal_ideals(alg):
                 got = oplus_bar(alg, i, j)
-                assert got == oplus_bar_oracle(alg, i, j), name
+                assert (got == oplus_bar_oracle(alg, i, j)).all(), name
                 assert is_lattice_ideal(alg, got)
 
 
@@ -67,7 +66,7 @@ def test_ominus_bar_matches_fixpoint_oracle(small_family):
         for f in principal_filters(alg):
             for i in principal_ideals(alg):
                 got = ominus_bar(alg, f, i)
-                assert got == ominus_bar_oracle(alg, f, i), name
+                assert (got == ominus_bar_oracle(alg, f, i)).all(), name
                 assert is_lattice_filter(alg, got)
 
 
@@ -78,19 +77,18 @@ def test_sum_table_fold_matches_fixpoint_oracle(family):
     shuffled = relabelled(pair, np.random.default_rng(9).permutation(pair.n))
     for name, alg in [*family.items(), ("relabelled L2xL4", shuffled)]:
         member = MvDualSpace(alg).member
-        ideals = ideal_sets(member)
         for x, row in enumerate(member):
             table = sum_table(alg, row)
             assert table.shape == (alg.n, alg.n)
-            direct = ideal_sets(_generated_ideals(alg, _bool_mm(member, table)))
+            direct = _generated_ideals(alg, _bool_mm(member, table))
             for y in range(len(member)):
-                assert direct[y] == oplus_bar_oracle(alg, ideals[x], ideals[y]), name
+                assert (direct[y] == oplus_bar_oracle(alg, row, member[y])).all(), name
         # sums of principal ideals are already ideals here, so the fold is
         # also held against the closure on rows that are not
         rows = np.random.default_rng(alg.n).random((20, alg.n)) < 0.1
         rows[:, alg.n - 1] |= ~rows.any(axis=1)
-        got = ideal_sets(_generated_ideals(alg, rows))
-        assert got == [_closure(alg.leq, alg.join, row) for row in rows], name
+        got = _generated_ideals(alg, rows)
+        assert (got == [_closure(alg.leq, alg.join, row) for row in rows]).all(), name
 
 
 def test_chain_sums_are_principal_at_truncated_sum():
@@ -99,7 +97,7 @@ def test_chain_sums_are_principal_at_truncated_sum():
     for a in range(7):
         for b in range(7):
             expect = ideals[min(a + b, 6)]
-            assert oplus_bar(alg, ideals[a], ideals[b]) == expect
+            assert (oplus_bar(alg, ideals[a], ideals[b]) == expect).all()
 
 
 def test_element_adjunction(small_family):
@@ -141,22 +139,23 @@ def test_lifted_adjunction_sampled_larger(small_family):
 def test_sum_closure_characterizes_mv_ideals(small_family):
     for name, alg in small_family.items():
         for i in principal_ideals(alg):
-            closed = oplus_bar(alg, i, i) <= i
+            closed = not (oplus_bar(alg, i, i) & ~i).any()
             assert closed == is_mv_ideal(alg, i), name
 
 
 def test_ideal_sum_monoid_laws():
     alg = product(lukasiewicz_chain(2), lukasiewicz_chain(2))
     ideals = principal_ideals(alg)
-    zero = frozenset({alg.zero})
+    zero = subset(alg.n, alg.zero)
     for i in ideals:
-        assert oplus_bar(alg, zero, i) == i
+        assert (oplus_bar(alg, zero, i) == i).all()
         for j in ideals:
-            assert oplus_bar(alg, i, j) == oplus_bar(alg, j, i)
+            assert (oplus_bar(alg, i, j) == oplus_bar(alg, j, i)).all()
             for k in ideals:
-                assert oplus_bar(alg, oplus_bar(alg, i, j), k) == oplus_bar(
-                    alg, i, oplus_bar(alg, j, k)
-                )
+                assert (
+                    oplus_bar(alg, oplus_bar(alg, i, j), k)
+                    == oplus_bar(alg, i, oplus_bar(alg, j, k))
+                ).all()
 
 
 def test_ominus_bar_against_membership_definition():
@@ -164,9 +163,8 @@ def test_ominus_bar_against_membership_definition():
     for f in principal_filters(alg):
         for i in principal_ideals(alg):
             got = ominus_bar(alg, f, i)
-            expect = {
-                c
+            expect = [
+                any(alg.leq[alg.ominus[a, b], c] for a in np.flatnonzero(f) for b in np.flatnonzero(i))
                 for c in range(alg.n)
-                if any(alg.leq[alg.ominus[a, b], c] for a in f for b in i)
-            }
-            assert got == expect
+            ]
+            assert got.tolist() == expect

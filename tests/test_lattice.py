@@ -33,7 +33,7 @@ from mvspectra.lattice import (
 )
 from mvspectra.mv import lukasiewicz_chain, product
 
-from conftest import ideal_sets, lattice_from_leq, poset_from_pairs
+from conftest import lattice_from_downsets_reference, lattice_from_leq, poset_from_pairs
 
 
 def boolean_2x2():
@@ -154,6 +154,33 @@ def test_join_irreducible_fold_matches_covers_on_downset_lattices(seed, size):
     assert len(lat.join_irreducibles) == size  # the principal downsets
 
 
+def assert_same_lattice(got, want):
+    assert got.labels == want.labels
+    for table in ("leq", "join", "meet"):
+        assert np.array_equal(getattr(got, table), getattr(want, table)), table
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.integers(0, 2**32), st.integers(1, 10))
+def test_downset_lattice_matches_the_reference_loop(seed, size):
+    # sizes 7 to 10 cross the first byte boundary of the packed keys
+    poset = random_poset(random.Random(seed), size)
+    assert_same_lattice(lattice_from_downsets(poset), lattice_from_downsets_reference(poset))
+
+
+@pytest.mark.parametrize("lengths", [(70,), (50, 13)])
+def test_downset_lattice_matches_the_reference_loop_past_63_points(lengths):
+    # disjoint chains of 63 points and more: masks past one machine word
+    pairs, start = [], 0
+    for length in lengths:
+        pairs += [(i, i + 1) for i in range(start, start + length - 1)]
+        start += length
+    poset = poset_from_pairs(start, pairs)
+    got = lattice_from_downsets(poset)
+    assert got.n == np.prod([length + 1 for length in lengths])
+    assert_same_lattice(got, lattice_from_downsets_reference(poset))
+
+
 def test_from_leq_detects_missing_bounds():
     # two incomparable maximal elements: no top, no lub
     p = poset_from_pairs(3, [(0, 1), (0, 2)])
@@ -191,13 +218,12 @@ def test_bool_mm_counts_past_the_byte_range():
 def test_two_element_lattice_single_point():
     member = enumerate_prime_ideals(FiniteDistLattice.chain(2))
     assert len(member) == 1
-    assert ideal_sets(member) == [frozenset({0})]
-    assert ideal_sets(~member) == [frozenset({1})]  # the complementary filter
+    assert member.tolist() == [[True, False]]  # {0}; the filter ~member is {1}
 
 
 def test_three_chain_two_points():
     member = enumerate_prime_ideals(FiniteDistLattice.chain(3))
-    assert ideal_sets(member) == [frozenset({0}), frozenset({0, 1})]
+    assert member.tolist() == [[True, False, False], [True, True, False]]
 
 
 def test_boolean_2x2_dual_is_antichain():
@@ -216,8 +242,8 @@ def test_prime_ideal_routes_agree(seed):
     slow = prime_ideals_bruteforce(lat)
     assert fast.shape == slow.shape and (fast == slow).all()
     for row in fast:
-        assert is_prime_ideal(lat, row.nonzero()[0].tolist())
-        assert is_lattice_filter(lat, (~row).nonzero()[0])
+        assert is_prime_ideal(lat, row)
+        assert is_lattice_filter(lat, ~row)
 
 
 def test_stone_map_is_embedding():

@@ -32,9 +32,11 @@ from mvspectra.mv import (
     quotient,
 )
 from mvspectra.chang import ChangAlgebra
+from mvspectra.idealarith import decided, is_lattice_ideal, ominus_bar, oplus_bar
+from mvspectra.sheaf import crt_solve
 from mvspectra.spectrum import MvDualSpace
 
-from conftest import point_ideal, relabelled
+from conftest import relabelled, subset
 
 
 # ---------------------------------------------------------------- oracles
@@ -50,7 +52,8 @@ def chain_oracle_tables(n):
 
 
 def mv_ideals_bruteforce(alg):
-    """All subsets that contain 0, are downward closed, and sum-closed."""
+    """All subsets that contain 0, are downward closed, and sum-closed, as
+    rows in ascending order of their member lists."""
     n = alg.n
     assert n <= 20
     out = []
@@ -68,8 +71,8 @@ def mv_ideals_bruteforce(alg):
             continue
         if any(alg.oplus[a, b] not in sset for a in members for b in members):
             continue
-        out.append(frozenset(members))
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+        out.append(members)
+    return np.array([subset(n, *members) for members in sorted(out)])
 
 
 def violates(alg_like, law, witness):
@@ -317,14 +320,13 @@ def test_ideal_enumeration_matches_bruteforce(small_family):
     for name, alg in small_family.items():
         if alg.n > 16:
             continue
-        got = [frozenset(i) for i in enumerate_mv_ideals(alg)]
-        assert got == mv_ideals_bruteforce(alg), name
+        assert np.array_equal(enumerate_mv_ideals(alg), mv_ideals_bruteforce(alg)), name
 
 
 def test_chain_has_two_mv_ideals():
     alg = lukasiewicz_chain(5)
     ideals = enumerate_mv_ideals(alg)
-    assert [sorted(i) for i in ideals] == [[0], [0, 1, 2, 3, 4, 5]]
+    assert [np.flatnonzero(i).tolist() for i in ideals] == [[0], [0, 1, 2, 3, 4, 5]]
 
 
 def test_product_has_four_mv_ideals():
@@ -340,32 +342,32 @@ def test_ideal_generated_two_routes_agree(small_family):
     for name, alg in small_family.items():
         for _ in range(6):
             k = int(rng.integers(1, 3))
-            seed = set(int(x) for x in rng.integers(0, alg.n, size=k))
+            seed = subset(alg.n, *rng.integers(0, alg.n, size=k))
             a = ideal_generated(alg, seed)
             # the least MV ideal containing the seed
-            b = frozenset.intersection(
-                *(i for i in enumerate_mv_ideals(alg) if seed <= i)
-            )
-            assert a == b, (name, seed)
+            ideals = enumerate_mv_ideals(alg)
+            b = ideals[~(seed & ~ideals).any(axis=1)].all(axis=0)
+            assert (a == b).all(), (name, seed)
             assert is_mv_ideal(alg, a)
 
 
 def test_ideal_generated_by_one_is_whole():
     alg = lukasiewicz_chain(4)
-    assert ideal_generated(alg, {3}) == frozenset(range(5))
-    assert ideal_generated(alg, {0}) == frozenset({0})
+    assert ideal_generated(alg, subset(5, 3)).all()
+    assert ideal_generated(alg, subset(5, 0)).tolist() == subset(5, 0).tolist()
 
 
 def y_ideals(alg):
     """The ideals of the prime MV points of the dual space, in point order."""
     space = MvDualSpace(alg)
-    return [point_ideal(space, y) for y in space.y_points]
+    return space.member[list(space.y_points)]
 
 
 def test_y_points_are_the_prime_mv_ideals(family):
     for name, alg in family.items():
-        want = [i for i in enumerate_mv_ideals(alg) if is_prime_mv_ideal(alg, i)]
-        assert y_ideals(alg) == want, name
+        ideals = enumerate_mv_ideals(alg)
+        want = ideals[[is_prime_mv_ideal(alg, i) for i in ideals]]
+        assert np.array_equal(y_ideals(alg), want), name
 
 
 def test_prime_mv_ideals_of_product():
@@ -386,22 +388,21 @@ def test_finite_primes_are_maximal(small_family):
 
 def test_maximal_ideal_enumeration(small_family):
     for name, alg in small_family.items():
-        maxes = maximal_mv_ideals(alg)
-        assert maxes == [
-            i for i in enumerate_mv_ideals(alg) if is_maximal_mv_ideal(alg, i)
-        ], name
+        ideals = enumerate_mv_ideals(alg)
+        want = ideals[[is_maximal_mv_ideal(alg, i) for i in ideals]]
+        assert np.array_equal(maximal_mv_ideals(alg), want), name
 
 
 def test_is_prime_rejects_non_prime():
     p = product(lukasiewicz_chain(1), lukasiewicz_chain(1))
-    assert not is_prime_mv_ideal(p, frozenset({0}))
+    assert not is_prime_mv_ideal(p, subset(p.n, 0))
 
 
 # ---------------------------------------------------------------- quotients
 
 def test_quotient_by_zero_is_identity_shape():
     alg = lukasiewicz_chain(3)
-    q = quotient(alg, frozenset({0}))
+    q = quotient(alg, subset(4, 0))
     assert q.algebra.n == 4
     assert list(q.projection) == [0, 1, 2, 3]
 
@@ -410,9 +411,7 @@ def test_quotient_of_product_by_factor_kernel():
     a = lukasiewicz_chain(2)
     b = lukasiewicz_chain(3)
     p = product(a, b)
-    kernel = frozenset(
-        x for x in range(p.n) if p.labels[x].endswith(",0)")
-    )
+    kernel = np.array([label.endswith(",0)") for label in p.labels])
     assert is_mv_ideal(p, kernel)
     q = quotient(p, kernel)
     assert q.algebra.n == b.n
@@ -437,15 +436,15 @@ def test_quotient_by_prime_is_chain(small_family):
 def test_quotient_rejects_non_ideal():
     alg = lukasiewicz_chain(3)
     with pytest.raises(AlgebraError):
-        quotient(alg, frozenset({0, 2}))
+        quotient(alg, subset(4, 0, 2))
 
 
 def test_ideal_congruence_definition():
     alg = lukasiewicz_chain(4)
-    whole = frozenset(range(5))
+    whole = np.ones(5, dtype=bool)
     assert ideal_congruent(alg, 1, 3, whole)
-    assert not ideal_congruent(alg, 1, 3, frozenset({0}))
-    assert ideal_congruent(alg, 2, 2, frozenset({0}))
+    assert not ideal_congruent(alg, 1, 3, subset(5, 0))
+    assert ideal_congruent(alg, 2, 2, subset(5, 0))
 
 
 def test_congruence_class_matches_pairwise_test():
@@ -458,6 +457,45 @@ def test_congruence_class_matches_pairwise_test():
         rows = congruence_class(alg, np.arange(alg.n)[::-1], ideal)
         for a, row in zip(range(alg.n - 1, -1, -1), rows):
             assert (row == congruence_class(alg, a, ideal)).all()
+
+
+# A subset of the carrier is a boolean row of length n; each public entry
+# point refuses anything else rather than misread it.  Every malformed form
+# below names the whole carrier, a lawful ideal.
+MALFORMED = {
+    "frozenset": lambda n: frozenset(range(n)),
+    "index list": lambda n: list(range(n)),
+    "wrong length": lambda n: np.ones(n + 1, dtype=bool),
+    "not boolean": lambda n: np.ones(n, dtype=np.int64),
+}
+ROW_TAKERS = {
+    "decided": lambda alg, bad: decided(alg, is_lattice_ideal, bad),
+    "oplus_bar": lambda alg, bad: oplus_bar(alg, subset(alg.n, alg.zero), bad),
+    "ominus_bar filter": lambda alg, bad: ominus_bar(alg, bad, subset(alg.n, alg.zero)),
+    "ominus_bar ideal": lambda alg, bad: ominus_bar(alg, np.ones(alg.n, dtype=bool), bad),
+    "crt_solve": lambda alg, bad: crt_solve(
+        alg, np.array([bad]) if isinstance(bad, np.ndarray) else [bad], [alg.zero]
+    ),
+    "is_mv_ideal": is_mv_ideal,
+    "ideal_generated": ideal_generated,
+    "quotient": quotient,
+    "congruence_class": lambda alg, bad: congruence_class(alg, alg.zero, bad),
+    "ideal_congruent": lambda alg, bad: ideal_congruent(alg, alg.zero, alg.zero, bad),
+}
+
+
+@pytest.mark.parametrize("form", sorted(MALFORMED))
+@pytest.mark.parametrize("entry", sorted(ROW_TAKERS))
+def test_entry_points_refuse_anything_but_a_boolean_row(entry, form):
+    alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
+    with pytest.raises(AlgebraError, match="boolean rows of length 12"):
+        ROW_TAKERS[entry](alg, MALFORMED[form](alg.n))
+
+
+def test_crt_solve_refuses_a_single_row_for_the_ideal_matrix():
+    alg = lukasiewicz_chain(3)
+    with pytest.raises(AlgebraError, match="boolean rows of length 4"):
+        crt_solve(alg, subset(4, 0), [0])
 
 
 # ---------------------------------------------------------------- json

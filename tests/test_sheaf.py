@@ -23,7 +23,7 @@ from mvspectra.mv import (
 )
 from mvspectra.verify import run_suite
 
-from conftest import point_ideal, relabelled
+from conftest import relabelled, subset
 
 
 @pytest.fixture(scope="module")
@@ -32,13 +32,15 @@ def prod_space():
 
 
 def y_by_ideal(space, ideal):
-    hits = [y for y in space.y_points if point_ideal(space, y) == frozenset(ideal)]
+    hits = [y for y in space.y_points if (space.member[y] == ideal).all()]
     assert len(hits) == 1
     return hits[0]
 
 
-KERN_FIRST = frozenset(range(4))      # {0} x 4-chain, quotient is the 3-chain
-KERN_SECOND = frozenset({0, 4, 8})    # 3-chain x {0}, quotient is the 4-chain
+KERN_FIRST = subset(12, 0, 1, 2, 3)  # {0} x 4-chain, quotient is the 3-chain
+KERN_SECOND = subset(12, 0, 4, 8)    # 3-chain x {0}, quotient is the 4-chain
+KERNELS = np.array([KERN_FIRST, KERN_SECOND])
+KERN_FIRST_AND_ZERO = np.array([KERN_FIRST, subset(12, 0)])
 
 
 # -- bundles and stalks ---------------------------------------------------------
@@ -66,11 +68,11 @@ def test_stalks_are_the_mv_quotients(family):
         for base in (sh.BASE_PRIME, sh.BASE_MAXIMAL):
             for st in sh.build_etale(space, base).stalks:
                 want = (
-                    point_ideal(space, st.point)
+                    space.member[st.point]
                     if base == sh.BASE_PRIME
                     else sh.germinal_ideal(space, st.point)
                 )
-                assert st.ideal == want, (label, base, st.point)
+                assert (st.ideal == want).all(), (label, base, st.point)
                 proj = quotient(alg, st.ideal).projection
                 assert tuple(st.projection.tolist()) == proj, (label, base)
 
@@ -80,14 +82,14 @@ def test_maximal_bundle_matches_prime_here(prod_space):
     prime = sh.build_etale(prod_space, sh.BASE_PRIME)
     maximal = sh.build_etale(prod_space, sh.BASE_MAXIMAL)
     assert set(prime.base_points) == set(maximal.base_points)
-    assert sorted(st.ideal for st in prime.stalks) == sorted(
-        st.ideal for st in maximal.stalks
+    assert sorted(st.ideal.tolist() for st in prime.stalks) == sorted(
+        st.ideal.tolist() for st in maximal.stalks
     )
 
 
 def test_germinal_ideals(prod_space):
     for z in prod_space.z_points:
-        assert sh.germinal_ideal(prod_space, z) == point_ideal(prod_space, z)
+        assert (sh.germinal_ideal(prod_space, z) == prod_space.member[z]).all()
     non_max = next(
         x for x in range(len(prod_space.member)) if x not in prod_space.z_set
     )
@@ -254,27 +256,27 @@ def test_eta_across_family(family):
 def test_crt_pinned_product_instance():
     alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
     # targets (2,0) and (0,3) against the projection kernels meet at (2,3)
-    assert sh.crt_solve(alg, [KERN_FIRST, KERN_SECOND], [8, 3]) == 11
-    assert sh.crt_solve(alg, [KERN_FIRST, KERN_SECOND], [0, 0]) == 0
-    assert sh.crt_solve(alg, [KERN_FIRST, KERN_SECOND], [11, 11]) == 11
+    assert sh.crt_solve(alg, KERNELS, [8, 3]) == 11
+    assert sh.crt_solve(alg, KERNELS, [0, 0]) == 0
+    assert sh.crt_solve(alg, KERNELS, [11, 11]) == 11
 
 
 def test_crt_single_ideal_chain():
     alg = lukasiewicz_chain(3)
     for a in range(alg.n):
-        assert sh.crt_solve(alg, [frozenset({0})], [a]) == a
+        assert sh.crt_solve(alg, subset(4, 0)[None], [a]) == a
 
 
 def test_crt_rejections():
     alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
     with pytest.raises(Error):  # incompatible modulo the join
-        sh.crt_solve(alg, [KERN_FIRST, frozenset({0})], [8, 0])
+        sh.crt_solve(alg, KERN_FIRST_AND_ZERO, [8, 0])
     with pytest.raises(Error):  # intersection is not zero
-        sh.crt_solve(alg, [KERN_FIRST], [8])
+        sh.crt_solve(alg, KERN_FIRST[None], [8])
     with pytest.raises(Error):  # not an MV ideal
-        sh.crt_solve(lukasiewicz_chain(2), [frozenset({0, 1})], [0])
+        sh.crt_solve(lukasiewicz_chain(2), subset(3, 0, 1)[None], [0])
     with pytest.raises(Error):  # misaligned lists
-        sh.crt_solve(alg, [KERN_FIRST], [1, 2])
+        sh.crt_solve(alg, KERN_FIRST[None], [1, 2])
 
 
 def test_crt_refuses_every_non_ideal():
@@ -284,16 +286,16 @@ def test_crt_refuses_every_non_ideal():
         product(lukasiewicz_chain(2), lukasiewicz_chain(3)),
         np.random.default_rng(3).permutation(12),
     )
-    zero = frozenset({alg.zero})
+    zero = subset(alg.n, alg.zero)
     ideals = 0
     for mask in range(1 << alg.n):
-        s = frozenset(a for a in range(alg.n) if mask >> a & 1)
+        s = np.array([mask >> a & 1 for a in range(alg.n)], dtype=bool)
         if is_mv_ideal(alg, s):
             ideals += 1
-            assert sh.crt_solve(alg, [zero, s], [alg.zero, alg.zero]) == alg.zero
+            assert sh.crt_solve(alg, np.array([zero, s]), [alg.zero, alg.zero]) == alg.zero
         else:
             with pytest.raises(Error) as exc:
-                sh.crt_solve(alg, [zero, s], [alg.zero, alg.zero])
+                sh.crt_solve(alg, np.array([zero, s]), [alg.zero, alg.zero])
             assert str(exc.value) == "remainder solving needs MV ideals"
     assert ideals == 4  # the downsets of the four idempotents
 
@@ -308,14 +310,14 @@ def test_crt_refuses_unclosed_downset_of_idempotent():
     alg = MvAlgebra(good.neg.copy(), oplus, validate=False)
     assert (alg.leq == good.leq).all() and alg.oplus[2, 2] == 2
     with pytest.raises(Error) as exc:
-        sh.crt_solve(alg, [frozenset({0, 1, 2}), frozenset({0, 3})], [0, 0])
+        sh.crt_solve(alg, np.array([subset(6, 0, 1, 2), subset(6, 0, 3)]), [0, 0])
     assert str(exc.value) == "remainder solving needs MV ideals"
 
 
 def test_crt_messages_when_not_unique():
     alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
     with pytest.raises(Error) as exc:
-        sh.crt_solve(alg, [KERN_FIRST, frozenset({0})], [8, 0])
+        sh.crt_solve(alg, KERN_FIRST_AND_ZERO, [8, 0])
     assert str(exc.value) == "targets 0 and 1 are incompatible modulo the join"
     # L1 x L2 with two oplus entries broken: (0,0) + (0,2) and (1,1) + (1,1);
     # both ideals stay MV ideals meeting in zero, and (0,1) and (0,2) both
@@ -326,7 +328,7 @@ def test_crt_messages_when_not_unique():
     oplus[4, 4] = 4
     broken = MvAlgebra(base.neg.copy(), oplus, validate=False)
     with pytest.raises(Error) as exc:
-        sh.crt_solve(broken, [frozenset({0, 1, 2}), frozenset({0, 3, 4})], [0, 5])
+        sh.crt_solve(broken, np.array([subset(6, 0, 1, 2), subset(6, 0, 3, 4)]), [0, 5])
     assert str(exc.value) == "expected a unique solution, found 2"
 
 
@@ -336,17 +338,17 @@ def test_crt_join_is_the_ideal_sum():
     alg = product(product(lukasiewicz_chain(1), lukasiewicz_chain(1)), lukasiewicz_chain(1))
     at = {label: a for a, label in enumerate(alg.labels)}
     zero, top = at["((0,0),0)"], at["((0,0),1)"]
-    first = frozenset({zero, at["((1,0),0)"]})
-    second = frozenset({zero, at["((0,1),0)"]})
+    first = subset(alg.n, zero, at["((1,0),0)"])
+    second = subset(alg.n, zero, at["((0,1),0)"])
     with pytest.raises(Error, match="incompatible modulo the join"):
-        sh.crt_solve(alg, [first, second], [zero, top])
+        sh.crt_solve(alg, np.array([first, second]), [zero, top])
 
 
 def test_crt_batched_matches_scalar_calls(small_family):
     # every (planted, targets) row at once equals one scalar call per row
     for label, alg in small_family.items():
         space = sp.build_dual_space(alg)
-        ideals = [point_ideal(space, z) for z in space.z_points]
+        ideals = space.member[list(space.z_points)]
         classes = [
             [[b for b in range(alg.n) if ideal_congruent(alg, b, a, i)] for a in range(alg.n)]
             for i in ideals
@@ -363,7 +365,7 @@ def test_crt_batched_matches_scalar_calls(small_family):
 def test_crt_batched_names_the_first_bad_row():
     alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
     with pytest.raises(Error) as exc:
-        sh.crt_solve(alg, [KERN_FIRST, frozenset({0})], [[0, 0], [8, 0]])
+        sh.crt_solve(alg, KERN_FIRST_AND_ZERO, [[0, 0], [8, 0]])
     assert str(exc.value) == "row 1: targets 0 and 1 are incompatible modulo the join"
     # the broken L1 x L2 of test_crt_messages_when_not_unique: [0, 5] has two
     # solutions, [0, 0] and [0, 3] one each
@@ -372,7 +374,7 @@ def test_crt_batched_names_the_first_bad_row():
     oplus[0, 2] = oplus[2, 0] = 1
     oplus[4, 4] = 4
     broken = MvAlgebra(base.neg.copy(), oplus, validate=False)
-    ideals = [frozenset({0, 1, 2}), frozenset({0, 3, 4})]
+    ideals = np.array([subset(6, 0, 1, 2), subset(6, 0, 3, 4)])
     with pytest.raises(Error) as scalar:
         sh.crt_solve(broken, ideals, [0, 5])
     with pytest.raises(Error) as batched:
@@ -380,8 +382,8 @@ def test_crt_batched_names_the_first_bad_row():
     assert str(batched.value) == f"row 2: {scalar.value}"
     assert str(scalar.value) == "expected a unique solution, found 2"
     with pytest.raises(Error, match="matching nonempty"):
-        sh.crt_solve(alg, [KERN_FIRST, KERN_SECOND], [[8, 3, 0]])
-    assert sh.crt_solve(alg, [KERN_FIRST, KERN_SECOND], np.zeros((0, 2), dtype=int)).shape == (0,)
+        sh.crt_solve(alg, KERNELS, [[8, 3, 0]])
+    assert sh.crt_solve(alg, KERNELS, np.zeros((0, 2), dtype=int)).shape == (0,)
 
 
 def test_crt_term_pinned(prod_space):
@@ -396,9 +398,9 @@ def test_crt_term_least(prod_space):
     alg = prod_space.algebra
     units, targets = [3, 8], [11, 0]
     t, b = sh.crt_term(alg, units, targets, space=prod_space)
-    y_ideals = {y: point_ideal(prod_space, y) for y in prod_space.y_points}
+    y_ideals = {y: prod_space.member[y] for y in prod_space.y_points}
     patches = [
-        [y for y in prod_space.y_points if u in y_ideals[y]] for u in units
+        [y for y in prod_space.y_points if y_ideals[y][u]] for u in units
     ]
     for tt in range(t):
         join = alg.zero
@@ -433,7 +435,7 @@ def test_crt_term_agrees_with_scan(small_family):
     for label, alg in small_family.items():
         space = sp.build_dual_space(alg)
         units = [int(space.generators[z]) for z in space.z_points]
-        ideals = [point_ideal(space, z) for z in space.z_points]
+        ideals = space.member[list(space.z_points)]
         for _ in range(20):
             planted = int(rng.integers(alg.n))
             targets = [
@@ -471,7 +473,7 @@ def _tower_sets_by_comprehension(space, a, u):
     """The three sandwich sets, one point at a time."""
     npts = len(space.member)
     useen = frozenset(
-        x for x in range(npts) if u in point_ideal(space, int(space.k[x]))
+        x for x in range(npts) if space.member[space.k[x], u]
     )
     seq = sh.difference_tower(space.algebra, a, u)
     mid = frozenset.intersection(*(space.hat(v) for v in seq))

@@ -9,6 +9,7 @@ import pytest
 from mvspectra import chang, verify
 from mvspectra.chang import ChangAlgebra
 from mvspectra.errors import Error
+from mvspectra.lattice import FinitePoset
 from mvspectra.mv import MvAlgebra, lukasiewicz_chain, product
 from mvspectra.verify import SUITE_NAMES, run_suite
 
@@ -112,7 +113,7 @@ def test_deterministic_across_runs():
 
 # -- each law is owned by its row: a corrupted space fails exactly there --------
 
-REAL_SPACE = verify.MvDualSpace
+REAL_SPACE = verify.build_dual_space
 L2xL3 = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
 # its points: 0 < 1 over the MV point 0, and 4 < 3 < 2 over the MV point 4
 
@@ -180,7 +181,7 @@ def test_corrupted_space_fails_the_owning_row(monkeypatch, suite, row, edit, det
         return space
 
     assert {r.status for r in run_suite(L2xL3, suite)} == {"pass"}
-    monkeypatch.setattr(verify, "MvDualSpace", corrupted)
+    monkeypatch.setattr(verify, "build_dual_space", corrupted)
     rows = {r.name: r for r in run_suite(L2xL3, suite)}
     assert rows[row].status == "fail"
     assert detail in rows[row].detail
@@ -195,10 +196,29 @@ def test_continuity_row_names_a_join_irreducible(monkeypatch):
         return space
 
     assert 2 in L2xL3.lattice_reduct().join_irreducibles
-    monkeypatch.setattr(verify, "MvDualSpace", corrupted)
+    monkeypatch.setattr(verify, "build_dual_space", corrupted)
     rows = {r.name: r for r in run_suite(L2xL3, "plus")}
     assert rows["plus-continuity-identity"].detail == (
         "+ continuity identity fails for element 2 at (3, 4)"
+    )
+
+
+def test_zigzag_classes_row_reads_the_relation(monkeypatch):
+    # the five points of L5 reordered as the fence 0 < 1 > 2 < 3 > 4: one
+    # order component, as m.k has one fiber, but 0 and 4 are not zig-zag
+    # related in one step
+    fence = np.eye(5, dtype=bool)
+    fence[[0, 2, 2, 4], [1, 1, 3, 3]] = True
+
+    def corrupted(alg):
+        space = REAL_SPACE(alg)
+        space.order = FinitePoset(fence)
+        return space
+
+    monkeypatch.setattr(verify, "build_dual_space", corrupted)
+    rows = {r.name: r for r in run_suite(lukasiewicz_chain(5), "kaplansky")}
+    assert rows["zigzag-classes-are-components"].detail == (
+        "zig-zag classes differ from the order components"
     )
 
 
