@@ -29,10 +29,11 @@ print("prime ideals:", len(member))
 for row in member:
     print("  ", sorted(lat.labels[i] for i in row.nonzero()[0]))
 
-# The Stone map sends an element to the set of points whose ideal omits it.
-# It is injective, and its image is exactly the downsets of the dual poset.
+# The Stone map sends an element to the set of points whose ideal omits it,
+# a boolean row over the points.  It is injective, and its image is exactly
+# the downsets of the dual poset.
 top_image = stone_map(lat, lat.n - 1)
-print("top maps to all", len(top_image), "points")
+print("top maps to all", int(top_image.sum()), "points")
 
 # duality_roundtrip re-builds the lattice from the dual poset and checks
 # the canonical isomorphism both ways; it raises if anything is off.

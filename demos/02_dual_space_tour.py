@@ -14,12 +14,13 @@ alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
 space = build_dual_space(alg)
 
 # Each point is a boolean row of space.member: the elements of its ideal.
+# Y and Z are boolean rows over the points, space.in_y and space.in_z.
 print("points:", len(space.member))
 for x in range(len(space.member)):
     tags = []
-    if x in space.y_set:
+    if space.in_y[x]:
         tags.append("Y")
-    if x in space.z_set:
+    if space.in_z[x]:
         tags.append("Z")
     print(f"  x{x}: generator {space.point_label(x)}", " ".join(tags))
 

@@ -8,6 +8,8 @@ The fibers of k slice X into chains, and k supplies interpolants between
 comparable points.
 """
 
+import numpy as np
+
 from mvspectra import build_dual_space, interpolate, lukasiewicz_chain, product
 from mvspectra.spectrum import k_via_filter_difference, k_via_ideal_scan
 
@@ -22,9 +24,9 @@ for x in range(len(space.member)):
 print("k:", {f"x{x}": f"x{int(space.k[x])}" for x in range(len(space.member))})
 
 # k fixes exactly the MV points, and each fiber is the chain of points
-# retracting onto that MV point.
+# retracting onto that MV point, a boolean row over the points.
 for y in space.y_points:
-    print(f"fiber over x{y}:", [f"x{v}" for v in space.fiber(y)])
+    print(f"fiber over x{y}:", [f"x{v}" for v in np.flatnonzero(space.fiber(y))])
 
 # Between comparable points x <= x', the element x + k(x') interpolates:
 # it stays between them and its own retraction dominates both retractions.

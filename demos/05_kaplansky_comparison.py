@@ -8,6 +8,8 @@ land in bijection with the maximal MV ideals.  Two algebras with
 isomorphic lattice reducts therefore have homeomorphic maximal spectra.
 """
 
+import numpy as np
+
 from mvspectra import (
     ChangAlgebra,
     build_dual_space,
@@ -22,11 +24,11 @@ l2, l3 = lukasiewicz_chain(2), lukasiewicz_chain(3)
 alg = product(l2, l3)
 space = build_dual_space(alg)
 
-# Each W class contains exactly one maximal point; verify's
-# zigzag-quotient-lawful certifies the homeomorphism: classes are
-# order-isolated and Z is an antichain.
+# Each W class, a boolean row over the points, contains exactly one maximal
+# point; verify's zigzag-quotient-lawful certifies the homeomorphism:
+# classes are order-isolated and Z is an antichain.
 quot = w_quotient(space)
-print("W classes:", [sorted(c) for c in quot.classes])
+print("W classes:", [np.flatnonzero(c).tolist() for c in quot.classes])
 print("matched maximal points:", [f"x{z}" for z in quot.z_of_class])
 
 # Counting components of the bare order gives the same number with no

@@ -39,11 +39,12 @@ for base in (BASE_PRIME, BASE_MAXIMAL):
     print(base, "isomorphism:", rep["isomorphism"], "sections:", rep["sections"])
 
 # Patching: describe (2,3) on each patch by a local stand-in, (2,0) on the
-# first and (0,3) on the second; the patched set is the hat of (2,3).
+# first and (0,3) on the second; the patched set is the hat of (2,3).  The
+# cover and the patches are boolean rows over the points: each cover set
+# is one MV point, a row of the identity.
 y1, y2 = space.y_points
-res = check_property_p(
-    space, BASE_PRIME, [[y1], [y2]], [space.hat(8), space.hat(3)]
-)
+cover = np.eye(len(space.member), dtype=bool)[[y1, y2]]
+res = check_property_p(space, BASE_PRIME, cover, np.array([space.hat(8), space.hat(3)]))
 print("patched element:", alg.labels[res.element])
 
 # The same reconstruction as remainder solving: congruent to (2,0) mod the

@@ -27,7 +27,7 @@ def decided(alg, test, row):
     """test(alg, row), run once per algebra and boolean row: the fast
     routes (oplus_bar, ominus_bar, sheaf.crt_solve) validate the same few
     ideals over and over.  The tests themselves and the oracles stay uncached."""
-    require_rows(alg, row)
+    require_rows(row, alg.n)
     key = (test.__name__, np.packbits(row).tobytes())
     if key not in alg.verdicts:
         alg.verdicts[key] = test(alg, row)
@@ -63,10 +63,3 @@ def sum_table(alg, row):
     table = np.zeros((alg.n, alg.n), dtype=bool)
     table.reshape(-1)[sums + alg.n * np.arange(alg.n)] = True  # flat [b, sum]
     return table
-
-
-def adjunction_holds(alg, f, i, j):
-    """f ominus_bar i misses j exactly when f misses j oplus_bar i."""
-    left = not (ominus_bar(alg, f, i) & j).any()
-    right = not (f & oplus_bar(alg, j, i)).any()
-    return left == right

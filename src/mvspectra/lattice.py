@@ -10,7 +10,13 @@ comment.
 
 A point of the dual space is its boolean membership row, member[x, a]
 saying that a lies in the prime ideal of x; the dual order (row
-inclusion) and the Stone map (a column) are read off that matrix.
+inclusion) and the Stone map (a column) are read off that matrix.  A
+subset of the points of a finite poset (a downset, an order component, a
+Stone image) is in turn a boolean row over the points, and a family of
+them a boolean matrix.  _row_finder finds rows among rows by their
+np.packbits keys, sorted once and searched with np.searchsorted; the join
+and meet tables of the downset lattice, duality_roundtrip and the inverse
+of the Stone map in spectrum.py all look rows up through it.
 
 congruence_of_subspace turns a subspace of the dual into the lattice
 congruence it induces; sheaf.py builds the stalks of both sheaf
@@ -83,62 +89,42 @@ class FinitePoset:
         lt = self.leq & ~np.eye(self.n, dtype=bool)
         return lt & ~_bool_mm(lt, lt)
 
-    def is_downset(self, members):
-        s = set(members)
-        return all(j in s for i in s for j in np.flatnonzero(self.leq[:, i]).tolist())
+    def is_downset(self, row):
+        """Whether the boolean row holds every point below one of its members."""
+        return bool(row[self.leq[:, row].any(axis=1)].all())
 
     def downsets(self, limit=None):
-        """All downsets as int bitmasks, in a deterministic generation order.
+        """All downsets, one boolean row each, in a deterministic generation
+        order.
 
         Processing elements along a linear extension keeps the scan simple:
         a downset may absorb element e exactly when it already contains
         everything strictly below e.
         """
-        order = sorted(range(self.n), key=lambda e: (int(self.leq[:, e].sum()), e))
-        strict_down = [
-            int(sum(1 << int(i) for i in np.flatnonzero(self.leq[:, e])) & ~(1 << e))
-            for e in range(self.n)
-        ]
-        result = [0]
-        for e in order:
-            bit = 1 << e
-            need = strict_down[e]
-            grown = [d | bit for d in result if d & need == need]
-            result.extend(grown)
-            if limit is not None and len(result) > limit:
+        strict_below = self.leq & ~np.eye(self.n, dtype=bool)
+        rows = np.zeros((1, self.n), dtype=bool)
+        for e in np.argsort(self.leq.sum(axis=0), kind="stable").tolist():
+            grown = rows[rows[:, strict_below[:, e]].all(axis=1)]
+            grown[:, e] = True
+            rows = np.vstack([rows, grown])
+            if limit is not None and len(rows) > limit:
                 raise CapExceeded(f"more than {limit} downsets")
-        return result
+        return rows
 
     def order_components(self):
-        """Connected components of the comparability graph, as frozensets."""
-        comp = self.leq | self.leq.T
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            block, stack = set(), [start]
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                block.add(v)
-                for w in np.flatnonzero(comp[v]).tolist():
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(frozenset(block))
-        return sorted(out, key=lambda b: min(b))
+        """Connected components of the comparability graph, one boolean row
+        each, in canonical order."""
+        return _distinct_rows(transitive_closure(self.leq | self.leq.T))
 
     def to_dot(self, labels=None, doublecircle=(), filled=()):
         """Hasse diagram in DOT, bottom-up; decorations mark point classes."""
         labels = labels if labels is not None else [str(i) for i in range(self.n)]
-        dbl, fil = set(doublecircle), set(filled)
         lines = ["digraph poset {", "  rankdir=BT;", '  node [shape=circle];']
         for i in range(self.n):
             attrs = [f'label="{labels[i]}"']
-            if i in dbl:
+            if i in doublecircle:
                 attrs.append("peripheries=2")
-            if i in fil:
+            if i in filled:
                 attrs.append('style=filled fillcolor=gray80')
             lines.append(f"  n{i} [{' '.join(attrs)}];")
         for i, j in np.argwhere(self.covers).tolist():
@@ -201,14 +187,13 @@ class FiniteDistLattice:
         cubic scan runs only on failure, to name the witness.
         """
         ji = self.join_irreducibles
-        masks = [_mask(self.leq[:, a][ji]) for a in range(self.n)]
-        sub = FinitePoset(self.leq[np.ix_(ji, ji)])
-        ok = len(set(masks)) == self.n
-        if ok:
-            try:
-                ok = sorted(masks) == sorted(sub.downsets(limit=self.n))
-            except CapExceeded:
-                ok = False
+        below = self.leq[ji].T  # below[a, i]: join-irreducible i lies below a
+        try:
+            downs = FinitePoset(self.leq[np.ix_(ji, ji)]).downsets(limit=self.n)
+            found = _row_finder(downs)(below)  # each element's downset, or -1
+            ok = len(downs) == self.n and found.min() >= 0 and len(np.unique(found)) == self.n
+        except CapExceeded:
+            ok = False
         if not ok:
             raise NotDistributiveError(self._distributivity_witness())
 
@@ -254,10 +239,6 @@ def _glb(leq, a, b):
         if leq[lb, u].all():
             return int(u)
     raise LatticeError(f"elements {a} and {b} have no greatest lower bound")
-
-
-def _mask(bits):
-    return int(sum(1 << int(i) for i in np.flatnonzero(bits)))
 
 
 # -- dual space ------------------------------------------------------------
@@ -337,20 +318,16 @@ def enumerate_prime_ideals(lat):
 
 def prime_ideals_bruteforce(lat, limit=2_000_000):
     """Oracle path: scan every downset of the carrier order."""
-    rows = []
-    for mask in lat.poset().downsets(limit=limit):
-        row = np.array([mask >> i & 1 for i in range(lat.n)], dtype=bool)
-        if is_prime_ideal(lat, row):
-            rows.append(row)
-    return _canonical(np.array(rows, dtype=bool).reshape(-1, lat.n))
+    rows = lat.poset().downsets(limit=limit)
+    return _canonical(rows[[is_prime_ideal(lat, row) for row in rows]])
 
 
 def stone_map(lat, a, member=None):
-    """The clopen downset of points whose ideal omits a, as a set of indices:
-    the complement of column a of the membership rows."""
+    """The clopen downset of points whose ideal omits a, as a boolean row
+    over the points: the complement of column a of the membership rows."""
     if member is None:
         member = enumerate_prime_ideals(lat)
-    return frozenset(np.flatnonzero(~member[:, a]).tolist())
+    return ~member[:, a]
 
 
 def dual_order(member):
@@ -359,38 +336,61 @@ def dual_order(member):
     return FinitePoset(~_bool_mm(member, ~member.T))
 
 
-def lattice_from_downsets(poset):
-    """The lattice of all downsets of a poset, labelled by those downsets,
-    ordered by size and then by bitmask value.
+def _keys(packed):
+    """Rows of np.packbits bytes (the last axis) as one np.void key each."""
+    packed = np.ascontiguousarray(packed)
+    return packed.view(np.dtype((np.void, packed.shape[-1])))[..., 0]
 
-    Each downset is packed into a fixed-width byte key, the keys are sorted
-    once, and the union and intersection of every pair are found among
-    them by np.searchsorted, a block of rows at a time.  Both operations
-    commute, so each block starts at its own first row and the lower
-    triangle is mirrored in at the end."""
-    masks = sorted(poset.downsets(), key=lambda m: (m.bit_count(), m))
-    labels = [frozenset(k for k in range(poset.n) if m >> k & 1) for m in masks]
-    n, width = len(masks), poset.n // 8 + 1
-    packed = np.frombuffer(
-        b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8
-    ).reshape(n, width)
-    key = np.dtype((np.void, width))
-    keys = packed.view(key).reshape(n)
+
+def _distinct_rows(rows):
+    """The distinct boolean rows of a matrix, in canonical order."""
+    first = np.unique(_keys(np.packbits(rows, axis=-1)), return_index=True)[1]
+    return _canonical(rows[first])
+
+
+def _row_finder(rows):
+    """find(queries): the position among the boolean rows of each query
+    row, -1 where none is equal.  Queries are boolean rows or their
+    np.packbits bytes.  The rows' packed keys are sorted once and searched
+    with np.searchsorted, and each hit is checked for equality."""
+    keys = _keys(np.packbits(rows, axis=-1))
     by_key = np.argsort(keys)
     ordered = keys[by_key]
+
+    def find(queries):
+        wanted = _keys(np.packbits(queries, axis=-1) if queries.dtype == bool else queries)
+        at = np.searchsorted(ordered, wanted).clip(max=len(ordered) - 1)
+        return np.where(ordered[at] == wanted, by_key[at], -1)
+
+    return find
+
+
+def lattice_from_downsets(poset):
+    """The lattice of all downsets of a poset, labelled by those downsets
+    (boolean rows), ordered by size and then by the rows read as binary
+    numbers with point k worth 2**k.
+
+    The union and intersection of every pair are formed on the packed
+    rows and found among the downsets by _row_finder, a block of rows at a
+    time.  Both operations commute, so each block starts at its own first
+    row and the lower triangle is mirrored in at the end."""
+    rows = poset.downsets()
+    rows = rows[np.lexsort(np.vstack([rows.T, rows.sum(axis=1)]))]
+    find = _row_finder(rows)
+    packed = np.packbits(rows, axis=-1)
+    n, width = packed.shape
     join = np.empty((n, n), dtype=np.int64)
     meet = np.empty((n, n), dtype=np.int64)
-    rows = max(1, (1 << 20) // (n * width))
-    for lo in range(0, n, rows):
-        block = packed[lo:lo + rows, None]
-        for table, op in ((join, np.bitwise_or), (meet, np.bitwise_and)):
-            found = op(block, packed[None, lo:]).view(key).reshape(len(block), -1)
-            table[lo:lo + rows, lo:] = by_key[np.searchsorted(ordered, found)]
+    block = max(1, (1 << 20) // (n * width))
+    for lo in range(0, n, block):
+        left = packed[lo:lo + block, None]
+        join[lo:lo + block, lo:] = find(left | packed[None, lo:])
+        meet[lo:lo + block, lo:] = find(left & packed[None, lo:])
     lower = np.tri(n, k=-1, dtype=bool)
     join[lower] = join.T[lower]
     meet[lower] = meet.T[lower]
     leq = meet == np.arange(n)[:, None]
-    return FiniteDistLattice(leq, join, meet, labels=labels, validate=False)
+    return FiniteDistLattice(leq, join, meet, labels=rows, validate=False)
 
 
 @dataclass(frozen=True)
@@ -413,15 +413,12 @@ def duality_roundtrip(lat):
     member = enumerate_prime_ideals(lat)
     poset = dual_order(member)
     dl = lattice_from_downsets(poset)
-    index = {lab: i for i, lab in enumerate(dl.labels)}
-    iso = []
-    for a in range(lat.n):
-        img = stone_map(lat, a, member)
-        if img not in index:
-            raise LatticeError(f"stone image of {a} is not a downset of the dual")
-        iso.append(index[img])
-    iso = np.array(iso, dtype=np.int64)
-    if dl.n != lat.n or len(set(iso.tolist())) != lat.n:
+    # row a of ~member.T is the Stone image of a
+    iso = _row_finder(np.array(dl.labels))(~member.T)
+    if (iso < 0).any():
+        a = int(np.argmax(iso < 0))
+        raise LatticeError(f"stone image of {a} is not a downset of the dual")
+    if dl.n != lat.n or len(np.unique(iso)) != lat.n:
         raise LatticeError("stone map is not a bijection onto downsets")
     if (iso[lat.join] != dl.join[iso[:, None], iso[None, :]]).any():
         raise LatticeError("stone map does not preserve joins")

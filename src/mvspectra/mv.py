@@ -283,23 +283,24 @@ def product(a, b, cap=PRODUCT_CAP):
 # boolean row of length n, and a family of them a boolean matrix.
 
 
-def require_rows(alg, rows, ndim=1):
-    """Refuse anything but a boolean array of ndim axes whose last runs over
-    the carrier: a frozenset or an index list would otherwise be misread."""
+def require_rows(rows, width, ndim=1, of="the carrier"):
+    """Refuse anything but a boolean array of ndim axes whose last has the
+    given width, one entry per element of the carrier or per point of a
+    space: a set or an index list would otherwise be misread."""
     if not (
         isinstance(rows, np.ndarray)
         and rows.dtype == bool
         and rows.ndim == ndim
-        and rows.shape[-1] == alg.n
+        and rows.shape[-1] == width
     ):
-        raise AlgebraError(f"subsets of the carrier must be boolean rows of length {alg.n}")
+        raise AlgebraError(f"subsets of {of} must be boolean rows of length {width}")
 
 
 def is_mv_ideal(alg, row):
     """Downset containing zero, closed under truncated addition."""
     from .lattice import _closed_set
 
-    require_rows(alg, row)
+    require_rows(row, alg.n)
     return bool(row[alg.zero]) and _closed_set(alg.leq, alg.oplus, row)
 
 
@@ -312,16 +313,8 @@ def ideal_generated(alg, seed):
     """
     from .lattice import _closure
 
-    require_rows(alg, seed)
+    require_rows(seed, alg.n)
     return _closure(alg.leq, alg.oplus, seed | (np.arange(alg.n) == alg.zero))
-
-
-def is_prime_mv_ideal(alg, row):
-    """Proper MV-ideal containing a ominus b or b ominus a for every pair;
-    the slow oracle the tests hold the dual space's Y points against."""
-    if not is_mv_ideal(alg, row) or row.all():
-        return False
-    return bool((row[alg.ominus] | row[alg.ominus.T]).all())
 
 
 def is_maximal_mv_ideal(alg, row):
@@ -366,14 +359,14 @@ def maximal_mv_ideals(alg):
 
 
 def ideal_congruent(alg, a, b, ideal):
-    require_rows(alg, ideal)
+    require_rows(ideal, alg.n)
     return bool(ideal[alg.ominus[a, b]] and ideal[alg.ominus[b, a]])
 
 
 def congruence_class(alg, a, ideal):
     """Boolean vector over the carrier: b is congruent to a modulo the
     ideal row.  For an index array a, one such row per entry."""
-    require_rows(alg, ideal)
+    require_rows(ideal, alg.n)
     return ideal[alg.ominus[:, a]].T & ideal[alg.ominus[a, :]]
 
 

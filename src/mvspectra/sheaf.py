@@ -58,10 +58,6 @@ class EtaleInstance:
     base_leq: np.ndarray
     stalks: tuple
 
-    def base_upset(self, pos):
-        """Positions above the given one: its least neighborhood."""
-        return np.flatnonzero(self.base_leq[pos]).tolist()
-
 
 def germinal_ideal(space, z):
     """Intersection of the prime MV ideals below a maximal point, as a
@@ -70,11 +66,9 @@ def germinal_ideal(space, z):
     The subspace it carves out, {x : germ inside I_k(x)}, is the m.k fiber
     of z; verify's germinal-ideals-carve-fibers checks that identity.
     """
-    if z not in space.z_set:
+    if not space.in_z[z]:
         raise AlgebraError("germinal ideals are indexed by maximal points")
-    leq = space.order.leq
-    below = [y for y in space.y_points if leq[y, z]]
-    return space.member[below].all(axis=0)
+    return space.member[space.in_y & space.order.leq[:, z]].all(axis=0)
 
 
 def decomposition_sheaf(space, q, base_points, base_leq, base=None):
@@ -110,9 +104,7 @@ def _decomposition(space, base):
         base_leq = np.eye(len(base_points), dtype=bool)
     else:
         raise AlgebraError(f"unknown base {base!r}")
-    position = {pt: pos for pos, pt in enumerate(base_points)}
-    q = np.array([position[int(v)] for v in raw])
-    return q, base_points, base_leq
+    return np.searchsorted(base_points, raw), base_points, base_leq
 
 
 def build_etale(space, base):
@@ -126,7 +118,7 @@ def build_etale(space, base):
 @dataclass(frozen=True)
 class PatchResult:
     ok: bool
-    patched: frozenset | None = None
+    patched: np.ndarray | None = None  # boolean row over the points
     element: int | None = None
     violation: tuple | None = None  # (l, m, witness point)
 
@@ -134,52 +126,43 @@ class PatchResult:
 def check_property_p(space, base, cover, downsets):
     """Patch clopen downsets K_l along a base cover.
 
-    cover lists upsets of the base order (any subsets of the discrete Z)
-    whose union is the base; downsets lists subsets of X, each required to
-    be some a-hat.  If the compatibility K_l = K_m over q^{-1}(U_l & U_m)
-    holds, the union of the K_l & q^{-1}(U_l) is returned with the element
-    realizing it as a hat; otherwise the first violating pair and a witness
-    point.
+    cover and downsets are boolean matrices with one row per patch and one
+    column per point of X.  Cover rows mark upsets of the base order (any
+    subsets of the discrete Z) whose union is the base; each downset row
+    must be some a-hat.  If the compatibility K_l = K_m over
+    q^{-1}(U_l & U_m) holds, the union of the K_l & q^{-1}(U_l) is returned
+    with the element realizing it as a hat; otherwise the first violating
+    pair and a witness point.
     """
     q, base_points, base_leq = _decomposition(space, base)
-    point_pos = {pt: pos for pos, pt in enumerate(base_points)}
+    npts = len(space.member)
+    require_rows(cover, npts, ndim=2, of="the points")
+    require_rows(downsets, npts, ndim=2, of="the points")
     if len(cover) != len(downsets):
         raise AlgebraError("cover and downset lists must align")
-    inside = np.zeros((len(cover), len(base_points)), dtype=bool)
-    for row, u in zip(inside, cover):
-        for pt in u:
-            if pt not in point_pos:
-                raise AlgebraError(f"cover names {pt}, not a base point")
-            row[point_pos[pt]] = True
+    stray = cover.copy()
+    stray[:, base_points] = False
+    if stray.any():
+        raise AlgebraError(f"cover names {np.argwhere(stray)[0][1]}, not a base point")
+    inside = cover[:, base_points]  # patch l holds base position b
     if not inside.any(axis=0).all():
         raise AlgebraError("the given family does not cover the base")
     if (inside[:, :, None] & ~inside[:, None, :] & base_leq).any():
         raise AlgebraError("a cover set is not an upset")
-    hats = space.hat_to_element
-    k_sets = []
-    for kl in downsets:
-        fs = frozenset(int(v) for v in kl)
-        if fs not in hats:
-            raise AlgebraError("a patch set is not of the form a-hat")
-        k_sets.append(fs)
-    pre = [frozenset(np.flatnonzero(row).tolist()) for row in inside[:, q]]
-    for l in range(len(cover)):
-        for m in range(len(cover)):
-            overlap = pre[l] & pre[m]
-            bad = (k_sets[l] ^ k_sets[m]) & overlap
-            if bad:
-                return PatchResult(
-                    ok=False, violation=(l, m, min(bad))
-                )
-    union = frozenset().union(
-        *(k_sets[l] & pre[l] for l in range(len(cover)))
-    )
+    if (space.hat_elements(downsets) < 0).any():
+        raise AlgebraError("a patch set is not of the form a-hat")
+    pre = inside[:, q]  # the points of X over each cover set
+    bad = (downsets[:, None] ^ downsets[None, :]) & pre[:, None] & pre[None, :]
+    if bad.any():
+        l, m, x = np.argwhere(bad)[0].tolist()
+        return PatchResult(ok=False, violation=(l, m, x))
+    union = (downsets & pre).any(axis=0)
     if not space.order.is_downset(union):
         raise AlgebraError("patched set is not a downset")
-    elem = hats.get(union)
-    if elem is None:
+    elem = int(space.hat_elements(union))
+    if elem < 0:
         raise AlgebraError("patched downset is not a hat set")
-    return PatchResult(ok=True, patched=union, element=int(elem))
+    return PatchResult(ok=True, patched=union, element=elem)
 
 
 # -- sections ----------------------------------------------------------------
@@ -204,7 +187,8 @@ def global_sections(inst, cap=10**6):
         if total > cap:
             raise CapExceeded(f"stalk product exceeds {cap}")
     images = _images(inst)
-    hoods = [inst.base_upset(pos) for pos in range(len(inst.base_points))]
+    # the positions above each base position: its least neighborhood
+    hoods = [np.flatnonzero(row).tolist() for row in inst.base_leq]
     local = [{tuple(img[p] for p in hood) for img in images} for hood in hoods]
     return [
         cand
@@ -293,7 +277,7 @@ def crt_solve(alg, ideals, targets):
     when there is none or more than one; a 2-D call names the first such
     row.
     """
-    require_rows(alg, ideals, ndim=2)
+    require_rows(ideals, alg.n, ndim=2)
     t = np.asarray(targets, dtype=np.intp)
     if not len(ideals) or t.ndim not in (1, 2) or t.shape[-1] != len(ideals):
         raise AlgebraError("need matching nonempty ideal and target lists")
@@ -342,7 +326,7 @@ def crt_term(alg, units, targets, space=None):
     if space is None:
         space = MvDualSpace(alg)
     # patch i is the MV points whose ideal holds u_i: column u_i of their rows
-    y_rows = space.member[list(space.y_points)]
+    y_rows = space.member[space.in_y]
     patches = y_rows[:, units].T
     if not patches.any(axis=0).all():
         raise AlgebraError("the unit patches do not cover the MV points")

@@ -8,7 +8,9 @@ through the finite-scale convention documented in lattice.py: opens of the
 downset topology are downsets, and continuity claims become set identities
 over the basic family {a-hat}.  A point is its boolean membership row, so
 the points of a space are the rows of one matrix, member, and a-hat is the
-complement of its column a.
+complement of its column a.  A subset of the points (a-hat, a fiber of k,
+Y and Z, a W class) is a boolean row over the points; y_points and
+z_points list Y and Z by index for the JSON and DOT output.
 
 Every prime ideal of the finite reduct is principal, I_x = down g_x, so the
 build is table arithmetic on the generators: + and the involution are
@@ -22,7 +24,8 @@ Construction computes and does not check: MvDualSpace raises AlgebraError
 only where a table entry cannot be produced at all.  verify owns the laws,
 one check each.  MvDualSpace and ChangSpace answer the same point methods
 (involute, partial_plus, k_map, m_map, fiber, to_json, to_dot), so callers
-never branch on the carrier.
+never branch on the carrier; a finite fiber is a boolean row, a symbolic
+one a window of points.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .errors import AlgebraError, SearchBudgetExceeded
 from .idealarith import ominus_bar, sum_table
 from .lattice import (
     _bool_mm,
+    _canonical,
+    _row_finder,
     dual_order,
     enumerate_prime_ideals,
     lattice_isomorphic,
@@ -52,7 +57,9 @@ class MvDualSpace:
     in the ideal of point x, so the basic set a-hat is the complement of
     column a.  order is ideal inclusion.  involution is a permutation array;
     plus is an integer table with -1 for undefined; k is a total array into
-    y_points; m maps y-point indices to z-point indices.
+    y_points; m maps y-point indices to z-point indices.  in_y and in_z are
+    the boolean rows of Y and Z over the points, and y_points and z_points
+    their indices in ascending order.
     """
 
     def __init__(self, alg):
@@ -84,14 +91,11 @@ class MvDualSpace:
         gen_sum = alg.oplus[gens[:, None], gens[None, :]]
         self.plus = np.where(gen_sum != alg.one, self._point_of[gen_sum], -1)
         # I_x is an MV-ideal exactly when its generator is idempotent
-        diagonal = self.plus.diagonal()
-        self.y_points = tuple(np.flatnonzero(diagonal == np.arange(npts)).tolist())
-        self.y_set = frozenset(self.y_points)
-        maximal = maximal_mv_ideals(alg)
-        ys = np.array(self.y_points, dtype=np.intp)
-        is_max = (member[ys][:, None] == maximal).all(axis=2).any(axis=1)
-        self.z_points = tuple(ys[is_max].tolist())
-        self.z_set = frozenset(self.z_points)
+        self.in_y = self.plus.diagonal() == np.arange(npts)
+        self.y_points = tuple(np.flatnonzero(self.in_y).tolist())
+        self.in_z = np.zeros(npts, dtype=bool)
+        self.in_z[self._points_of(maximal_mv_ideals(alg), "maximal MV-ideal")] = True
+        self.z_points = tuple(np.flatnonzero(self.in_z).tolist())
         # k(x) is the largest MV-ideal J with I_x +bar J inside I_x: the
         # downset of the largest idempotent e with g_x + e = g_x
         idem = alg.oplus.diagonal() == np.arange(n)
@@ -126,13 +130,16 @@ class MvDualSpace:
         return np.array([self.m[v] for v in self.k.tolist()])
 
     def hat(self, a):
-        """Indices of the points whose ideal omits a: the basic set of a."""
+        """The boolean row of the points whose ideal omits a: the basic set
+        of a.  An index array of elements gives one column per element."""
         return stone_map(self.lattice, a, self.member)
 
     @cached_property
-    def hat_to_element(self):
-        # the Stone map is a bijection onto downsets here, so this inverts it
-        return {self.hat(a): a for a in range(self.algebra.n)}
+    def hat_elements(self):
+        """hat_elements(hats): the element whose hat is each boolean row
+        over the points, -1 where there is none; the inverse of the Stone
+        map, whose image of a is row a of ~member.T."""
+        return _row_finder(~self.member.T)
 
     def point_label(self, x):
         return str(self.algebra.labels[int(self.generators[x])])
@@ -151,15 +158,16 @@ class MvDualSpace:
         return int(self.k[x])
 
     def m_map(self, y):
-        if y not in self.y_set:
+        if not self.in_y[y]:
             raise AlgebraError("m is only defined on MV points")
         return int(self.m[y])
 
     def fiber(self, y, chang_bound=32):
-        """k^{-1}(up y): all points retracting onto at least y."""
-        if y not in self.y_set:
+        """k^{-1}(up y), the points retracting onto at least y, as a boolean
+        row over the points."""
+        if not self.in_y[y]:
             raise AlgebraError("fibers are indexed by MV points")
-        return np.flatnonzero(self.order.leq[y, self.k]).tolist()
+        return self.order.leq[y, self.k]
 
     def to_json(self, chang_bound=32):
         return {
@@ -243,7 +251,7 @@ def k_via_ideal_scan(space, x):
     if (good & ~best).any():
         raise AlgebraError("addable ideals have no largest member")
     out = int(space._points_of(best, "largest addable ideal"))
-    if out not in space.y_set:
+    if not space.in_y[out]:
         raise AlgebraError("largest addable ideal is not an MV point")
     return out
 
@@ -260,9 +268,11 @@ def k_via_filter_difference(space, x):
 
 @dataclass(frozen=True)
 class WQuotient:
-    """Partition of X by the zig-zag relation with its bijection onto Z."""
+    """Partition of X by the zig-zag relation with its bijection onto Z:
+    one boolean row over the points per class, in canonical order, and
+    the maximal point of each."""
 
-    classes: tuple
+    classes: np.ndarray
     z_of_class: tuple
 
 
@@ -277,17 +287,11 @@ def w_relation(space):
 def w_quotient(space):
     """The W classes, read off as the fibers of m.k, each with its maximal
     point; verify's zigzag-quotient-lawful checks that W is that kernel."""
-    blocks = {}
-    for x, z in enumerate(space.mk.tolist()):
-        blocks.setdefault(z, set()).add(x)
-    classes = sorted((frozenset(b) for b in blocks.values()), key=min)
-    z_of_class = []
-    for block in classes:
-        inz = sorted(block & space.z_set)
-        if len(inz) != 1:
-            raise AlgebraError("a zig-zag class misses a unique maximal point")
-        z_of_class.append(inz[0])
-    return WQuotient(classes=tuple(classes), z_of_class=tuple(z_of_class))
+    classes = _canonical(space.mk == np.unique(space.mk)[:, None])
+    inz = classes & space.in_z
+    if (inz.sum(axis=1) != 1).any():
+        raise AlgebraError("a zig-zag class misses a unique maximal point")
+    return WQuotient(classes=classes, z_of_class=tuple(inz.argmax(axis=1).tolist()))
 
 
 # -- the reconstruction theorem ---------------------------------------------

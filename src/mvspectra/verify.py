@@ -21,7 +21,13 @@ import numpy as np
 from . import chang
 from .errors import CapExceeded, Error
 from .idealarith import oplus_bar, sum_table
-from .lattice import _bool_mm, duality_roundtrip, transitive_closure
+from .lattice import (
+    _bool_mm,
+    _canonical,
+    _distinct_rows,
+    duality_roundtrip,
+    transitive_closure,
+)
 from .mv import (
     SUITE_NAMES,
     check_axioms,
@@ -155,21 +161,18 @@ def _check_plus_translation(ctx):
 def _check_plus_idempotents(ctx):
     s = ctx.space
     diag = s.plus.diagonal()
-    n = len(s.member)
-    leq = s.order.leq
-    below = frozenset(
-        x for x in range(n) if diag[x] >= 0 and leq[diag[x], x]
-    )
-    equal = frozenset(x for x in range(n) if diag[x] == x)
+    points = np.arange(len(s.member))
+    below = (diag >= 0) & s.order.leq[diag, points]
+    equal = diag == points
     # I_x is an MV ideal when it holds zero, is a downset and is closed
     # under oplus: the sums a oplus b of members, the hit row of I_x oplus
     # I_x, lie inside I_x (one |I_x|^2 gather, less than the |I_x| * n of
     # tabulating all sums with I_x)
     alg, member = s.algebra, s.member
     downset = ~(_bool_mm(member, alg.leq.T) & ~member).any(axis=1)
-    closed = [row[alg.oplus[np.ix_(row, row)]].all() for row in member]
-    mv = frozenset(np.flatnonzero(member[:, alg.zero] & downset & closed).tolist())
-    if not (below == equal == mv == s.y_set):
+    closed = np.array([row[alg.oplus[np.ix_(row, row)]].all() for row in member])
+    mv = member[:, alg.zero] & downset & closed
+    if not ((below == equal) & (equal == mv) & (mv == s.in_y)).all():
         _fail("idempotent characterizations of the MV points disagree")
 
 
@@ -259,29 +262,28 @@ def _check_k_routes(ctx):
 
 def _check_k_fixes_y(ctx):
     s = ctx.space
-    for x in range(len(s.member)):
-        if (int(s.k[x]) == x) != (x in s.y_set):
-            _fail(f"k fixed-point mismatch at {x}")
-        if int(s.k[x]) not in s.y_set:
-            _fail(f"k({x}) is not an MV point")
+    mismatch = (s.k == np.arange(len(s.member))) != s.in_y
+    bad = mismatch | ~s.in_y[s.k]
+    if bad.any():
+        x = int(np.argmax(bad))
+        _fail(f"k fixed-point mismatch at {x}" if mismatch[x] else f"k({x}) is not an MV point")
 
 
 def _check_k_fibers(ctx):
     s = ctx.space
     leq = s.order.leq
-    n = len(s.member)
-    seen = set()
+    comparable = leq | leq.T
+    seen = np.zeros(len(s.member), dtype=bool)
     for y in s.y_points:
         fib = s.fiber(y)
         # second description: the points x with x + y defined and below x
         col = s.plus[:, y]
-        if fib != np.flatnonzero((col >= 0) & leq[col, np.arange(n)]).tolist():
+        if (fib != ((col >= 0) & leq[col, np.arange(len(col))])).any():
             _fail(f"fiber over {y} differs from its description by sums")
-        sub = leq[np.ix_(fib, fib)]
-        if not (sub | sub.T).all():
+        if not comparable[np.ix_(fib, fib)].all():
             _fail(f"fiber over {y} is not a chain")
-        seen.update(fib)
-    if seen != set(range(n)):
+        seen |= fib
+    if not seen.all():
         _fail("fibers of k miss a point")
 
 
@@ -316,13 +318,11 @@ def _check_mk_on_comparables(ctx):
 
 def _check_root_system(ctx):
     s = ctx.space
-    leq = s.order.leq
-    for y in s.y_points:
-        above = [v for v in s.y_points if leq[y, v]]
-        for a in above:
-            for b in above:
-                if not (leq[a, b] or leq[b, a]):
-                    _fail(f"MV points above {y} are not a chain")
+    ys = s.y_points
+    up = s.order.leq[np.ix_(ys, ys)]  # row i: the MV points above y_i
+    clash = (up[:, :, None] & up[:, None, :] & ~(up | up.T)).any(axis=(1, 2))
+    if clash.any():
+        _fail(f"MV points above {ys[int(np.argmax(clash))]} are not a chain")
 
 
 # -- finite checks: the quotient theorem --------------------------------------
@@ -338,11 +338,9 @@ def _check_w_lawful(ctx):
     if not ((s.mk[:, None] == s.mk[None, :]) == w).all():
         _fail("zig-zag relation differs from the kernel of m.k")
     leq = s.order.leq
-    for block in w_quotient(s).classes:
+    for inside in w_quotient(s).classes:
         # finite homeomorphism certificate: the class preimage of each basic
         # open of Z is simultaneously a downset and an upset of X
-        inside = np.zeros(len(s.member), dtype=bool)
-        inside[list(block)] = True
         if leq[np.ix_(inside, ~inside)].any() or leq[np.ix_(~inside, inside)].any():
             _fail("a zig-zag class is not order-isolated")
     z = list(s.z_points)
@@ -353,9 +351,8 @@ def _check_w_lawful(ctx):
 def _check_w_components(ctx):
     s = ctx.space
     # the classes of the zig-zag relation itself, one per distinct row of W
-    classes = {frozenset(np.flatnonzero(row).tolist()) for row in w_relation(s)}
-    comps = s.order.order_components()
-    if sorted(classes, key=min) != sorted(comps, key=min):
+    classes = _distinct_rows(w_relation(s))
+    if not np.array_equal(classes, s.order.order_components()):
         _fail("zig-zag classes differ from the order components")
 
 
@@ -394,16 +391,16 @@ def _check_eta_prime(ctx):
 def _check_patch_roundtrip(ctx):
     s = ctx.space
     alg = s.algebra
-    leq = s.order.leq
     ys = s.y_points
-    hoods = [[i for i, v in enumerate(ys) if leq[y, v]] for y in ys]
-    cover = [[ys[i] for i in hood] for hood in hoods]
-    ideals = s.member[list(ys)]
+    hoods = s.order.leq[np.ix_(ys, ys)]  # row i: the MV points above y_i
+    cover = np.zeros((len(ys), len(s.member)), dtype=bool)
+    cover[:, ys] = hoods
+    ideals = s.member[s.in_y]
     for b in range(alg.n):
         classes = np.array([congruence_class(alg, b, ideal) for ideal in ideals])
         # the first element congruent to b modulo every ideal over the hood
-        downs = [s.hat(int(np.argmax(classes[hood].all(axis=0)))) for hood in hoods]
-        res = check_property_p(s, BASE_PRIME, cover, downs)
+        firsts = [int(np.argmax(classes[hood].all(axis=0))) for hood in hoods]
+        res = check_property_p(s, BASE_PRIME, cover, s.hat(firsts).T)
         if not res.ok or res.element != b:
             _fail(f"section round-trip failed for element {b}")
 
@@ -412,8 +409,7 @@ def _check_patch_negative(ctx):
     s = ctx.space
     alg = s.algebra
     res = check_property_p(
-        s, BASE_PRIME, [list(s.y_points), list(s.y_points)],
-        [s.hat(alg.zero), s.hat(alg.one)],
+        s, BASE_PRIME, np.array([s.in_y, s.in_y]), s.hat([alg.zero, alg.one]).T
     )
     if res.ok or res.violation is None:
         _fail("incompatible patches were accepted")
@@ -442,11 +438,8 @@ def _check_eta_maximal(ctx):
 
 def _check_maximal_fibers(ctx):
     s = ctx.space
-    comps = s.order.order_components()
-    fibers = {}
-    for x in range(len(s.member)):
-        fibers.setdefault(int(s.mk[x]), set()).add(x)
-    if sorted(map(frozenset, fibers.values()), key=min) != sorted(comps, key=min):
+    fibers = _canonical(s.mk == np.unique(s.mk)[:, None])
+    if not np.array_equal(fibers, s.order.order_components()):
         _fail("m.k fibers differ from the order components")
 
 
@@ -500,7 +493,7 @@ def _check_crt_term(ctx):
     alg = ctx.alg
     s = ctx.space
     units = [int(s.generators[z]) for z in s.z_points]
-    ideals = s.member[list(s.z_points)]
+    ideals = s.member[s.in_z]
     rng = random.Random(ctx.seed + 1)
     _, targets = _planted_instances(alg, rng, ideals, min(ctx.crt_count, 50))
     scanned = crt_solve(alg, ideals, targets).tolist()

@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mvspectra.errors import CapExceeded
+from mvspectra.idealarith import ominus_bar, oplus_bar
 from mvspectra.lattice import (
     FiniteDistLattice,
     FinitePoset,
@@ -14,7 +16,7 @@ from mvspectra.lattice import (
     _lub,
     transitive_closure,
 )
-from mvspectra.mv import MvAlgebra, lukasiewicz_chain, product
+from mvspectra.mv import MvAlgebra, is_mv_ideal, lukasiewicz_chain, product
 
 
 def build_family(max_carrier):
@@ -83,11 +85,59 @@ def lattice_from_leq(leq, validate=True):
     return FiniteDistLattice(poset.leq, join, meet, validate=validate)
 
 
+# -- int-bitmask references for the boolean-row order routines of lattice -------
+
+
+def downsets_reference(poset, limit=None):
+    """All downsets as int bitmasks (bit k for point k) in the generation
+    order of FinitePoset.downsets: along a linear extension, a downset
+    absorbs e when it already holds everything strictly below e."""
+    order = sorted(range(poset.n), key=lambda e: (int(poset.leq[:, e].sum()), e))
+    strict_down = [
+        int(sum(1 << int(i) for i in np.flatnonzero(poset.leq[:, e]))) & ~(1 << e)
+        for e in range(poset.n)
+    ]
+    result = [0]
+    for e in order:
+        need = strict_down[e]
+        result.extend([d | 1 << e for d in result if d & need == need])
+        if limit is not None and len(result) > limit:
+            raise CapExceeded(f"more than {limit} downsets")
+    return result
+
+
+def mask_rows(masks, n):
+    """The int bitmasks as boolean rows over 0..n-1."""
+    return np.array([[m >> k & 1 for k in range(n)] for m in masks], dtype=bool).reshape(-1, n)
+
+
+def order_components_reference(poset):
+    """Components of the comparability graph by breadth-first search, as
+    frozensets in order of their least points."""
+    comp = poset.leq | poset.leq.T
+    seen = [False] * poset.n
+    out = []
+    for start in range(poset.n):
+        if seen[start]:
+            continue
+        block, stack = set(), [start]
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            block.add(v)
+            for w in np.flatnonzero(comp[v]).tolist():
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        out.append(frozenset(block))
+    return sorted(out, key=min)
+
+
 def lattice_from_downsets_reference(poset):
     """The downset lattice by a double loop over all pairs of bitmasks: the
     reference for the packed-key search of lattice.lattice_from_downsets."""
-    masks = sorted(poset.downsets(), key=lambda m: (bin(m).count("1"), m))
-    labels = [frozenset(k for k in range(poset.n) if m >> k & 1) for m in masks]
+    masks = sorted(downsets_reference(poset), key=lambda m: (bin(m).count("1"), m))
+    labels = mask_rows(masks, poset.n)
     index = {m: i for i, m in enumerate(masks)}
     n = len(masks)
     leq = np.zeros((n, n), dtype=bool)
@@ -120,6 +170,21 @@ def oplus_bar_oracle(alg, i, j):
 def ominus_bar_oracle(alg, f, i):
     """Lattice-filter closure of the set of pairwise differences."""
     return _closure(alg.leq.T, alg.meet, _pairwise(alg, alg.ominus, f, i))
+
+
+def adjunction_holds(alg, f, i, j):
+    """f ominus_bar i misses j exactly when f misses j oplus_bar i."""
+    left = not (ominus_bar(alg, f, i) & j).any()
+    right = not (f & oplus_bar(alg, j, i)).any()
+    return left == right
+
+
+def is_prime_mv_ideal(alg, row):
+    """Proper MV-ideal containing a ominus b or b ominus a for every pair;
+    the slow oracle the tests hold the dual space's Y points against."""
+    if not is_mv_ideal(alg, row) or row.all():
+        return False
+    return bool((row[alg.ominus] | row[alg.ominus.T]).all())
 
 
 # -- scalar references for the vectorised rows of verify -----------------------

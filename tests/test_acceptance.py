@@ -143,8 +143,8 @@ def test_criterion_9_negative_controls():
     res = sh.check_property_p(
         space,
         sh.BASE_PRIME,
-        [list(space.y_points), list(space.y_points)],
-        [space.hat(alg.zero), space.hat(alg.one)],
+        np.array([space.in_y, space.in_y]),
+        np.array([space.hat(alg.zero), space.hat(alg.one)]),
     )
     assert not res.ok and res.violation is not None
 

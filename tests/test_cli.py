@@ -217,6 +217,25 @@ def test_spectrum_json_bytes_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
+def _chains(*ns):
+    chains = [{"kind": "lukasiewicz", "n": n} for n in ns]
+    return json.dumps(chains[0] if len(chains) == 1 else {"kind": "product", "factors": chains})
+
+
+# the sha256 of verify --suite all stdout on the finite verify-mix shapes:
+# every row passes, so a renamed, reordered or newly skipping row moves it
+PINNED_VERIFY = {"json": "95071c4adc23d2f46ec0be1577ad6a8fc0a820fadc777b876010225fa920bd33",
+                 "text": "dba27f96dbc8b9497f5102b09711815533c4d671a6971aaf8b0dcf312edd4d74"}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_VERIFY))
+@pytest.mark.parametrize("shape", [(47,), (7, 7), (2, 2, 2), (1,) * 5])
+def test_finite_verify_bytes_are_pinned(shape, fmt):
+    code, text = run(["verify", "--input", _chains(*shape), "--suite", "all", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_VERIFY[fmt]
+
+
 # the sha256 of Chang's chain outputs, pinned when its closed forms moved
 # onto integer arrays
 PINNED_CHANG = {

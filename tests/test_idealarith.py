@@ -7,7 +7,6 @@ import pytest
 
 from mvspectra.errors import AlgebraError
 from mvspectra.idealarith import (
-    adjunction_holds,
     is_lattice_filter,
     is_lattice_ideal,
     ominus_bar,
@@ -19,7 +18,13 @@ from mvspectra.mv import is_mv_ideal, lukasiewicz_chain, product
 from mvspectra.spectrum import MvDualSpace
 from mvspectra.verify import _generated_ideals
 
-from conftest import ominus_bar_oracle, oplus_bar_oracle, relabelled, subset
+from conftest import (
+    adjunction_holds,
+    ominus_bar_oracle,
+    oplus_bar_oracle,
+    relabelled,
+    subset,
+)
 
 
 def principal_ideals(alg):

@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvspectra.errors import LatticeError, NotDistributiveError, PosetError
@@ -33,7 +33,15 @@ from mvspectra.lattice import (
 )
 from mvspectra.mv import lukasiewicz_chain, product
 
-from conftest import lattice_from_downsets_reference, lattice_from_leq, poset_from_pairs
+from conftest import (
+    downsets_reference,
+    lattice_from_downsets_reference,
+    lattice_from_leq,
+    mask_rows,
+    order_components_reference,
+    poset_from_pairs,
+    subset,
+)
 
 
 def boolean_2x2():
@@ -91,9 +99,9 @@ def test_poset_rejects_non_orders():
 
 def test_downsets_of_chain_and_antichain():
     chain = poset_from_pairs(3, [(0, 1), (1, 2)])
-    assert sorted(chain.downsets()) == [0b000, 0b001, 0b011, 0b111]
+    assert chain.downsets().tolist() == mask_rows([0b000, 0b001, 0b011, 0b111], 3).tolist()
     anti = FinitePoset(np.eye(3, dtype=bool))
-    assert len(anti.downsets()) == 8
+    assert anti.downsets().shape == (8, 3)
 
 
 def test_downsets_are_downclosed_and_distinct():
@@ -101,25 +109,38 @@ def test_downsets_are_downclosed_and_distinct():
     for _ in range(20):
         p = random_poset(rng, 6)
         ds = p.downsets()
-        assert len(ds) == len(set(ds))
-        for mask in ds:
-            members = {i for i in range(p.n) if mask >> i & 1}
-            assert p.is_downset(members)
+        assert len(np.unique(ds, axis=0)) == len(ds)
+        assert all(p.is_downset(row) for row in ds)
         # oracle: count by direct powerset scan
-        count = 0
-        for mask in range(1 << p.n):
-            members = {i for i in range(p.n) if mask >> i & 1}
-            count += p.is_downset(members)
-        assert len(ds) == count
+        every = mask_rows(range(1 << p.n), p.n)
+        assert len(ds) == sum(p.is_downset(row) for row in every)
 
 
 def test_order_components():
     p = poset_from_pairs(5, [(0, 1), (2, 3)])
-    assert p.order_components() == [
-        frozenset({0, 1}),
-        frozenset({2, 3}),
-        frozenset({4}),
+    assert p.order_components().tolist() == [
+        subset(5, 0, 1).tolist(),
+        subset(5, 2, 3).tolist(),
+        subset(5, 4).tolist(),
     ]
+
+
+def _disjoint_chains(*lengths):
+    pairs, start = [], 0
+    for length in lengths:
+        pairs += [(i, i + 1) for i in range(start, start + length - 1)]
+        start += length
+    return poset_from_pairs(start, pairs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.builds(lambda seed, size: random_poset(random.Random(seed), size),
+                 st.integers(0, 2**32), st.integers(1, 10)))
+@example(_disjoint_chains(50, 20))  # rows past one machine word, two components
+def test_downsets_and_components_match_the_int_references(poset):
+    assert np.array_equal(poset.downsets(), mask_rows(downsets_reference(poset), poset.n))
+    comps = [subset(poset.n, *block) for block in order_components_reference(poset)]
+    assert np.array_equal(poset.order_components(), np.array(comps))
 
 
 # -- lattices ---------------------------------------------------------------
@@ -155,7 +176,7 @@ def test_join_irreducible_fold_matches_covers_on_downset_lattices(seed, size):
 
 
 def assert_same_lattice(got, want):
-    assert got.labels == want.labels
+    assert np.array_equal(np.array(got.labels), np.array(want.labels))
     for table in ("leq", "join", "meet"):
         assert np.array_equal(getattr(got, table), getattr(want, table)), table
 
@@ -171,11 +192,7 @@ def test_downset_lattice_matches_the_reference_loop(seed, size):
 @pytest.mark.parametrize("lengths", [(70,), (50, 13)])
 def test_downset_lattice_matches_the_reference_loop_past_63_points(lengths):
     # disjoint chains of 63 points and more: masks past one machine word
-    pairs, start = [], 0
-    for length in lengths:
-        pairs += [(i, i + 1) for i in range(start, start + length - 1)]
-        start += length
-    poset = poset_from_pairs(start, pairs)
+    poset = _disjoint_chains(*lengths)
     got = lattice_from_downsets(poset)
     assert got.n == np.prod([length + 1 for length in lengths])
     assert_same_lattice(got, lattice_from_downsets_reference(poset))
@@ -249,13 +266,13 @@ def test_prime_ideal_routes_agree(seed):
 def test_stone_map_is_embedding():
     lat = boolean_2x2()
     member = enumerate_prime_ideals(lat)
-    images = [stone_map(lat, a, member) for a in range(lat.n)]
-    assert images == [stone_map(lat, a) for a in range(lat.n)]
-    assert len(set(images)) == lat.n
+    images = np.array([stone_map(lat, a, member) for a in range(lat.n)])
+    assert np.array_equal(images, [stone_map(lat, a) for a in range(lat.n)])
+    assert len(np.unique(images, axis=0)) == lat.n
     for a in range(lat.n):
         for b in range(lat.n):
-            assert images[int(lat.join[a, b])] == images[a] | images[b]
-            assert images[int(lat.meet[a, b])] == images[a] & images[b]
+            assert (images[int(lat.join[a, b])] == images[a] | images[b]).all()
+            assert (images[int(lat.meet[a, b])] == images[a] & images[b]).all()
 
 
 # -- round trip ---------------------------------------------------------------

@@ -25,7 +25,6 @@ from mvspectra.mv import (
     ideal_generated,
     is_maximal_mv_ideal,
     is_mv_ideal,
-    is_prime_mv_ideal,
     lukasiewicz_chain,
     maximal_mv_ideals,
     product,
@@ -36,7 +35,7 @@ from mvspectra.idealarith import decided, is_lattice_ideal, ominus_bar, oplus_ba
 from mvspectra.sheaf import crt_solve
 from mvspectra.spectrum import MvDualSpace
 
-from conftest import relabelled, subset
+from conftest import is_prime_mv_ideal, relabelled, subset
 
 
 # ---------------------------------------------------------------- oracles

@@ -90,9 +90,7 @@ def test_maximal_bundle_matches_prime_here(prod_space):
 def test_germinal_ideals(prod_space):
     for z in prod_space.z_points:
         assert (sh.germinal_ideal(prod_space, z) == prod_space.member[z]).all()
-    non_max = next(
-        x for x in range(len(prod_space.member)) if x not in prod_space.z_set
-    )
+    non_max = int(np.argmin(prod_space.in_z))
     with pytest.raises(Error):
         sh.germinal_ideal(prod_space, non_max)
 
@@ -100,8 +98,7 @@ def test_germinal_ideals(prod_space):
 def test_base_neighborhoods(prod_space):
     prime = sh.build_etale(prod_space, sh.BASE_PRIME)
     # Y is an antichain here, so each least neighborhood is a singleton
-    for pos in range(len(prime.base_points)):
-        assert prime.base_upset(pos) == [pos]
+    assert (prime.base_leq == np.eye(len(prime.base_points), dtype=bool)).all()
 
 
 @pytest.mark.parametrize("factors", [(2, 3), (3,), (1, 2)])
@@ -130,14 +127,19 @@ def test_identity_decomposition_has_one_section_per_element(factors):
 # -- property (P) -----------------------------------------------------------------
 
 
+def points(space, *pts):
+    """The boolean row over the points of space holding the given ones."""
+    return subset(len(space.member), *pts)
+
+
 def test_patch_single_cover_returns_element(prod_space):
     alg = prod_space.algebra
-    everything = list(prod_space.y_points)
+    everything = prod_space.in_y[None]
     for b in range(alg.n):
         res = sh.check_property_p(
-            prod_space, sh.BASE_PRIME, [everything], [prod_space.hat(b)]
+            prod_space, sh.BASE_PRIME, everything, prod_space.hat(b)[None]
         )
-        assert res.ok and res.element == b and res.patched == prod_space.hat(b)
+        assert res.ok and res.element == b and (res.patched == prod_space.hat(b)).all()
 
 
 def test_patch_two_disjoint_patches(prod_space):
@@ -147,20 +149,20 @@ def test_patch_two_disjoint_patches(prod_space):
     res = sh.check_property_p(
         prod_space,
         sh.BASE_PRIME,
-        [[y1], [y2]],
-        [prod_space.hat(8), prod_space.hat(3)],
+        np.array([points(prod_space, y1), points(prod_space, y2)]),
+        np.array([prod_space.hat(8), prod_space.hat(3)]),
     )
     assert res.ok and res.element == 11
 
 
 def test_patch_detects_incompatible_sets(prod_space):
     alg = prod_space.algebra
-    everything = list(prod_space.y_points)
+    everything = prod_space.in_y
     res = sh.check_property_p(
         prod_space,
         sh.BASE_PRIME,
-        [everything, everything],
-        [prod_space.hat(alg.zero), prod_space.hat(alg.one)],
+        np.array([everything, everything]),
+        np.array([prod_space.hat(alg.zero), prod_space.hat(alg.one)]),
     )
     assert not res.ok
     l, m, witness = res.violation
@@ -170,24 +172,42 @@ def test_patch_detects_incompatible_sets(prod_space):
 
 def test_patch_input_validation(prod_space):
     y1 = y_by_ideal(prod_space, KERN_FIRST)
-    non_base = next(
-        x for x in range(len(prod_space.member)) if x not in prod_space.y_set
-    )
+    non_base = int(np.argmin(prod_space.in_y))
+    hat0 = prod_space.hat(0)[None]
     with pytest.raises(Error):  # does not cover the base
-        sh.check_property_p(prod_space, sh.BASE_PRIME, [[y1]], [prod_space.hat(0)])
-    with pytest.raises(Error):  # not a basic downset
+        sh.check_property_p(prod_space, sh.BASE_PRIME, points(prod_space, y1)[None], hat0)
+    with pytest.raises(Error, match="not of the form a-hat"):
         sh.check_property_p(
-            prod_space,
-            sh.BASE_PRIME,
-            [list(prod_space.y_points)],
-            [frozenset({non_base})],
+            prod_space, sh.BASE_PRIME, prod_space.in_y[None], points(prod_space, non_base)[None]
         )
     with pytest.raises(Error):  # misaligned lists
-        sh.check_property_p(prod_space, sh.BASE_PRIME, [[y1]], [])
-    with pytest.raises(Error):  # names a non-base point
-        sh.check_property_p(
-            prod_space, sh.BASE_PRIME, [[non_base]], [prod_space.hat(0)]
-        )
+        sh.check_property_p(prod_space, sh.BASE_PRIME, points(prod_space, y1)[None], hat0[:0])
+    with pytest.raises(Error, match=f"cover names {non_base}, not a base point"):
+        sh.check_property_p(prod_space, sh.BASE_PRIME, points(prod_space, non_base)[None], hat0)
+
+
+# A family of point sets is a boolean matrix, one column per point of X;
+# check_property_p refuses any other form for the cover and the patches.
+MALFORMED_FAMILIES = {
+    "frozenset": lambda rows: [frozenset(np.flatnonzero(row).tolist()) for row in rows],
+    "index list": lambda rows: [np.flatnonzero(row).tolist() for row in rows],
+    "wrong width": lambda rows: np.hstack([rows, rows[:, :1]]),
+    "not boolean": lambda rows: rows.astype(np.int64),
+}
+
+
+@pytest.mark.parametrize("form", sorted(MALFORMED_FAMILIES))
+@pytest.mark.parametrize("family_of", ["cover", "patches"])
+def test_patching_refuses_anything_but_a_boolean_matrix(prod_space, family_of, form):
+    # well formed, the call patches the hat of 5 over all of Y
+    cover, patches = prod_space.in_y[None], prod_space.hat(5)[None]
+    if family_of == "cover":
+        cover = MALFORMED_FAMILIES[form](cover)
+    else:
+        patches = MALFORMED_FAMILIES[form](patches)
+    npts = len(prod_space.member)
+    with pytest.raises(Error, match=f"subsets of the points must be boolean rows of length {npts}"):
+        sh.check_property_p(prod_space, sh.BASE_PRIME, cover, patches)
 
 
 def test_patch_over_maximal_base(prod_space):
@@ -196,8 +216,8 @@ def test_patch_over_maximal_base(prod_space):
     res = sh.check_property_p(
         prod_space,
         sh.BASE_MAXIMAL,
-        [[z1], [z2]],
-        [prod_space.hat(8), prod_space.hat(3)],
+        np.array([points(prod_space, z1), points(prod_space, z2)]),
+        np.array([prod_space.hat(8), prod_space.hat(3)]),
     )
     assert res.ok and res.element == 11
 
@@ -470,16 +490,16 @@ def test_difference_tower_shape(small_family):
 
 
 def _tower_sets_by_comprehension(space, a, u):
-    """The three sandwich sets, one point at a time."""
-    npts = len(space.member)
-    useen = frozenset(
-        x for x in range(npts) if space.member[space.k[x], u]
-    )
-    seq = sh.difference_tower(space.algebra, a, u)
-    mid = frozenset.intersection(*(space.hat(v) for v in seq))
+    """The three sandwich sets as boolean rows, one point at a time."""
+    points = range(len(space.member))
     leq = space.order.leq
-    down = frozenset(x for x in range(npts) if any(leq[x, xp] for xp in useen))
-    return space.hat(a) & useen, mid, space.hat(a) & down
+    seq = sh.difference_tower(space.algebra, a, u)
+    hat_a = space.hat(a)
+    useen = [bool(space.member[space.k[x], u]) for x in points]
+    lhs = [hat_a[x] and useen[x] for x in points]
+    mid = [all(space.hat(v)[x] for v in seq) for x in points]
+    rhs = [hat_a[x] and any(leq[x, xp] and useen[xp] for xp in points) for x in points]
+    return [lhs, mid, rhs]
 
 
 def test_tower_sandwich_all_pairs(small_family):
@@ -491,8 +511,8 @@ def test_tower_sandwich_all_pairs(small_family):
         assert lhs.shape == mid.shape == rhs.shape == (len(a), len(space.member))
         assert (lhs <= mid).all() and (mid <= rhs).all(), label
         for p in range(len(a)):
-            sets = tuple(frozenset(np.flatnonzero(v[p]).tolist()) for v in (lhs, mid, rhs))
-            assert sets == _tower_sets_by_comprehension(space, int(a[p]), int(u[p])), label
+            want = _tower_sets_by_comprehension(space, int(a[p]), int(u[p]))
+            assert [v[p].tolist() for v in (lhs, mid, rhs)] == want, label
 
 
 def test_towers_that_cycle_are_refused():

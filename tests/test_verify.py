@@ -132,7 +132,7 @@ def _k_fixes_non_mv_point(s):
 
 def _y_misses_a_point(s):
     s.y_points = (0,)
-    s.y_set = frozenset(s.y_points)
+    s.in_y[4] = False
 
 
 def _fiber_across_components(s):
