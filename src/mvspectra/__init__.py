@@ -17,7 +17,6 @@ _HOMES = {
         "LatticeError",
         "NotDistributiveError",
         "PosetError",
-        "SearchBudgetExceeded",
     ),
     "idealarith": ("is_lattice_filter", "is_lattice_ideal", "ominus_bar", "oplus_bar"),
     "lattice": (
@@ -39,7 +38,6 @@ _HOMES = {
         "is_mv_ideal",
         "lukasiewicz_chain",
         "product",
-        "quotient",
     ),
     "sheaf": (
         "BASE_MAXIMAL",

@@ -42,7 +42,3 @@ class AlgebraError(Error):
 
 class CapExceeded(Error):
     """A configured size cap would be exceeded; raised before doing the work."""
-
-
-class SearchBudgetExceeded(Error):
-    """An exhaustive search ran out of its node budget."""

@@ -22,6 +22,10 @@ congruence_of_subspace turns a subspace of the dual into the lattice
 congruence it induces; sheaf.py builds the stalks of both sheaf
 representations with it.  The tests hold it against a definitional
 congruence closure.
+
+chain_factors names the isomorphism type of a product of chains by the
+sorted chain lengths of its join-irreducible poset; the Kaplansky
+comparison in spectrum.py compares reducts by it.
 """
 
 from __future__ import annotations
@@ -31,13 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    LatticeError,
-    NotDistributiveError,
-    PosetError,
-    SearchBudgetExceeded,
-)
+from .errors import CapExceeded, LatticeError, NotDistributiveError, PosetError
 
 
 def _bool_mm(a, b):
@@ -291,13 +289,6 @@ def is_lattice_filter(lat, row):
     return _closed_set(lat.leq.T, lat.meet, row)
 
 
-def is_prime_ideal(lat, row):
-    """Proper lattice ideal holding a or b whenever it holds a meet b."""
-    if not is_lattice_ideal(lat, row) or row.all():
-        return False
-    return not (row[lat.meet] & ~row[:, None] & ~row[None, :]).any()
-
-
 def _canonical(rows):
     """The rows in canonical order: ascending by their member tuples."""
     keys = [tuple(np.flatnonzero(row).tolist()) for row in rows]
@@ -310,16 +301,10 @@ def enumerate_prime_ideals(lat):
 
     Fast path: the prime ideals of a finite distributive lattice are exactly
     the sets {a : j not<= a} for j join-irreducible, so each row is the
-    complement of a row of leq.  The brute-force scan over all downsets
-    lives in prime_ideals_bruteforce and is cross-checked in the test suite.
+    complement of a row of leq.  The tests hold it against a brute-force
+    scan over all downsets.
     """
     return _canonical(~lat.leq[np.array(lat.join_irreducibles, dtype=np.intp)])
-
-
-def prime_ideals_bruteforce(lat, limit=2_000_000):
-    """Oracle path: scan every downset of the carrier order."""
-    rows = lat.poset().downsets(limit=limit)
-    return _canonical(rows[[is_prime_ideal(lat, row) for row in rows]])
 
 
 def stone_map(lat, a, member=None):
@@ -452,87 +437,23 @@ def congruence_of_subspace(member):
     return rank[inverse.reshape(-1)]
 
 
-# -- poset isomorphism search (used by the Kaplansky comparison) ------------
+# -- the isomorphism type of a product of chains -------------------------------
 
 
-def _refine_colors(poset):
-    lt = poset.leq & ~np.eye(poset.n, dtype=bool)
-    colors = [
-        (int(lt[:, v].sum()), int(lt[v, :].sum()), int(poset.covers[:, v].sum()),
-         int(poset.covers[v, :].sum()))
-        for v in range(poset.n)
-    ]
-    for _ in range(poset.n):
-        palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-        cur = [palette[c] for c in colors]
-        nxt = [
-            (
-                cur[v],
-                tuple(sorted(cur[w] for w in np.flatnonzero(lt[:, v]).tolist())),
-                tuple(sorted(cur[w] for w in np.flatnonzero(lt[v, :]).tolist())),
-            )
-            for v in range(poset.n)
-        ]
-        if len(set(nxt)) == len(set(colors)):
-            colors = nxt
-            break
-        colors = nxt
-    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-    return [palette[c] for c in colors]
+def chain_factors(lat):
+    """The sorted lengths of the chains whose disjoint union is the
+    join-irreducible poset of lat, read off leq and join alone.
 
-
-def poset_isomorphism(p, q, node_budget=200_000):
-    """An order isomorphism p -> q as a tuple, or None; exact backtracking.
-
-    Color refinement prunes the search; node_budget bounds the number of
-    extension attempts and trips SearchBudgetExceeded rather than stalling.
+    Two finite distributive lattices are isomorphic exactly when their
+    join-irreducible posets are (Birkhoff), and two disjoint unions of
+    chains exactly when their sorted chain lengths agree; the reduct of a
+    finite MV-algebra, a product of chains, has such a poset.  It is one
+    exactly when comparability is an equivalence, i.e. when its distinct
+    rows are pairwise disjoint; each such row is then one chain.
     """
-    if p.n != q.n:
-        return None
-    if int(p.leq.sum()) != int(q.leq.sum()):
-        return None
-    pc, qc = _refine_colors(p), _refine_colors(q)
-    if sorted(pc) != sorted(qc):
-        return None
-    by_color = {}
-    for v, c in enumerate(qc):
-        by_color.setdefault(c, []).append(v)
-    order = sorted(range(p.n), key=lambda v: (len(by_color[pc[v]]), v))
-    mapping = [-1] * p.n
-    used = [False] * q.n
-    budget = [node_budget]
-
-    def extend(i):
-        if i == p.n:
-            return True
-        v = order[i]
-        for w in by_color[pc[v]]:
-            if used[w]:
-                continue
-            if budget[0] <= 0:
-                raise SearchBudgetExceeded("isomorphism search budget exhausted")
-            budget[0] -= 1
-            ok = all(
-                p.leq[v, u] == q.leq[w, mapping[u]] and p.leq[u, v] == q.leq[mapping[u], w]
-                for u in order[:i]
-            )
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return tuple(mapping) if extend(0) else None
-
-
-def lattice_isomorphic(lat1, lat2, node_budget=200_000):
-    """Distributive lattices are isomorphic iff their join-irreducible posets are."""
-    if lat1.n != lat2.n:
-        return False
-    p1 = FinitePoset(lat1.leq[np.ix_(lat1.join_irreducibles, lat1.join_irreducibles)])
-    p2 = FinitePoset(lat2.leq[np.ix_(lat2.join_irreducibles, lat2.join_irreducibles)])
-    return poset_isomorphism(p1, p2, node_budget=node_budget) is not None
-
+    ji = lat.join_irreducibles
+    leq = lat.leq[np.ix_(ji, ji)]
+    chains = _distinct_rows(leq | leq.T)
+    if (chains.sum(axis=0) != 1).any():
+        raise LatticeError("join-irreducibles are not a disjoint union of chains")
+    return sorted(chains.sum(axis=1).tolist())

@@ -89,11 +89,6 @@ class MvAlgebra:
         return self.neg[self.oplus[self.neg[idx][:, None], idx[None, :]]]
 
     @cached_property
-    def odot(self):
-        idx = np.arange(self.n)
-        return self.neg[self.oplus[self.neg[idx][:, None], self.neg[idx][None, :]]]
-
-    @cached_property
     def join(self):
         idx = np.arange(self.n)
         return self.oplus[self.ominus, idx[None, :]]
@@ -317,15 +312,6 @@ def ideal_generated(alg, seed):
     return _closure(alg.leq, alg.oplus, seed | (np.arange(alg.n) == alg.zero))
 
 
-def is_maximal_mv_ideal(alg, row):
-    """Proper MV-ideal whose every one-element extension generates the whole
-    carrier; the slow oracle for maximal_mv_ideals."""
-    if not is_mv_ideal(alg, row) or row.all():
-        return False
-    one_more = np.arange(alg.n) == np.flatnonzero(~row)[:, None]
-    return all(ideal_generated(alg, row | extra).all() for extra in one_more)
-
-
 def _idempotent_downsets(alg, idem):
     """The downsets of the given idempotents in canonical order, one row each."""
     from .lattice import _canonical
@@ -350,7 +336,7 @@ def maximal_mv_ideals(alg):
     MV-ideals are downsets of idempotents ordered as their idempotents, so
     the maximal proper ones sit under the proper idempotents (downset short
     of the carrier, i.e. e != one) with no other proper idempotent above
-    them.  is_maximal_mv_ideal is the slow oracle.
+    them.  The tests hold it against a slow oracle built on ideal_generated.
     """
     proper = [e for e in alg.idempotents if not alg.leq[:, e].all()]
     above = alg.leq[np.ix_(proper, proper)]
@@ -368,33 +354,6 @@ def congruence_class(alg, a, ideal):
     ideal row.  For an index array a, one such row per entry."""
     require_rows(ideal, alg.n)
     return ideal[alg.ominus[:, a]].T & ideal[alg.ominus[a, :]]
-
-
-@dataclass(frozen=True)
-class Quotient:
-    algebra: MvAlgebra
-    projection: tuple
-
-
-def quotient(alg, ideal):
-    """Quotient by the congruence of an MV-ideal row, each class named by
-    its least element, classes in carrier order; the oracle the tests hold
-    the sheaf stalks against."""
-    if not is_mv_ideal(alg, ideal):
-        raise AlgebraError("quotient requires an MV-ideal")
-    least = congruence_class(alg, np.arange(alg.n), ideal).argmax(axis=1)
-    reps = np.flatnonzero(least == np.arange(alg.n))
-    proj = np.searchsorted(reps, least)
-    return Quotient(
-        algebra=MvAlgebra(
-            proj[alg.neg[reps]],
-            proj[alg.oplus[np.ix_(reps, reps)]],
-            zero=int(proj[alg.zero]),
-            labels=tuple(alg.labels[r] for r in reps),
-            validate=False,
-        ),
-        projection=tuple(proj.tolist()),
-    )
 
 
 # -- JSON ---------------------------------------------------------------------

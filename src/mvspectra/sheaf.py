@@ -8,7 +8,7 @@ stalk's ideal, and the least neighborhood of b is its upset in B.  The
 prime base is (Y, k, the order on Y) and the maximal base (Z, m.k,
 discrete); _decomposition is the one place that names them.  eta_check
 confirms that negation and truncated addition descend to the stalks, and
-the tests hold each stalk against mv.quotient by its ideal.  The patching
+the tests hold each stalk against the quotient by its ideal.  The patching
 checker, global-section enumeration, congruence-style remainder solving
 and the term-definable variant complete the module.
 """

@@ -3,20 +3,32 @@ lattices built from order data."""
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from mvspectra.errors import CapExceeded
+from mvspectra.errors import AlgebraError, CapExceeded
 from mvspectra.idealarith import ominus_bar, oplus_bar
 from mvspectra.lattice import (
     FiniteDistLattice,
     FinitePoset,
+    _canonical,
     _closure,
     _glb,
     _lub,
+    is_lattice_ideal,
     transitive_closure,
 )
-from mvspectra.mv import MvAlgebra, is_mv_ideal, lukasiewicz_chain, product
+from mvspectra.mv import (
+    MvAlgebra,
+    congruence_class,
+    ideal_generated,
+    is_mv_ideal,
+    lukasiewicz_chain,
+    product,
+)
 
 
 def build_family(max_carrier):
@@ -149,6 +161,75 @@ def lattice_from_downsets_reference(poset):
             join[i, j] = index[mi | mj]
             meet[i, j] = index[mi & mj]
     return FiniteDistLattice(leq, join, meet, labels=labels, validate=False)
+
+
+def posets_isomorphic_reference(p, q):
+    """Whether some bijection f has p.leq[a, b] == q.leq[f[a], f[b]] for
+    all a, b: a brute force over every permutation, for posets of at most
+    about 7 points; the oracle of lattice.chain_factors."""
+    if p.n != q.n:
+        return False
+    return any(
+        (p.leq == q.leq[np.ix_(f, f)]).all() for f in itertools.permutations(range(p.n))
+    )
+
+
+# -- oracles of the prime ideals, the maximal MV-ideals and the stalks -----------
+
+
+def odot(alg):
+    """The table of a odot b = neg(neg a oplus neg b)."""
+    idx = np.arange(alg.n)
+    return alg.neg[alg.oplus[alg.neg[idx][:, None], alg.neg[idx][None, :]]]
+
+
+def is_prime_ideal(lat, row):
+    """Proper lattice ideal holding a or b whenever it holds a meet b."""
+    if not is_lattice_ideal(lat, row) or row.all():
+        return False
+    return not (row[lat.meet] & ~row[:, None] & ~row[None, :]).any()
+
+
+def prime_ideals_bruteforce(lat, limit=2_000_000):
+    """Oracle path: scan every downset of the carrier order."""
+    rows = lat.poset().downsets(limit=limit)
+    return _canonical(rows[[is_prime_ideal(lat, row) for row in rows]])
+
+
+def is_maximal_mv_ideal(alg, row):
+    """Proper MV-ideal whose every one-element extension generates the whole
+    carrier; the slow oracle for maximal_mv_ideals."""
+    if not is_mv_ideal(alg, row) or row.all():
+        return False
+    one_more = np.arange(alg.n) == np.flatnonzero(~row)[:, None]
+    return all(ideal_generated(alg, row | extra).all() for extra in one_more)
+
+
+@dataclass(frozen=True)
+class Quotient:
+    algebra: MvAlgebra
+    projection: tuple
+
+
+def quotient(alg, ideal):
+    """Quotient by the congruence of an MV-ideal row, each class named by
+    its least element, classes in carrier order; the oracle the tests hold
+    the sheaf stalks against."""
+    if not is_mv_ideal(alg, ideal):
+        raise AlgebraError("quotient requires an MV-ideal")
+    least = congruence_class(alg, np.arange(alg.n), ideal).argmax(axis=1)
+    reps = np.flatnonzero(least == np.arange(alg.n))
+    proj = np.searchsorted(reps, least)
+    return Quotient(
+        algebra=MvAlgebra(
+            proj[alg.neg[reps]],
+            proj[alg.oplus[np.ix_(reps, reps)]],
+            zero=int(proj[alg.zero]),
+            labels=tuple(alg.labels[r] for r in reps),
+            validate=False,
+        ),
+        projection=tuple(proj.tolist()),
+    )
 
 
 # -- closure-fixpoint oracles for the ideal arithmetic -----------------------------

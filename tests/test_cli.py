@@ -289,6 +289,13 @@ def test_verify_suite_flags():
     assert code == 0
 
 
+def test_verify_kaplansky_on_a_chain_past_a_thousand_join_irreducibles():
+    code, text = run(["verify", "--input", '{"kind":"lukasiewicz","n":1023}', "--suite", "kaplansky"])
+    assert code == 0
+    lines = text.strip().splitlines()
+    assert lines and all(line.startswith("[PASS]") for line in lines)
+
+
 def test_verify_requires_valid_algebra():
     # verify's precondition is a lawful algebra, so bad tables are usage
     code, _ = run(["verify", "--input", BROKEN])

@@ -6,6 +6,8 @@ congruences by growing a pair set until the closure conditions hold.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 import numpy as np
@@ -18,16 +20,13 @@ from mvspectra.lattice import (
     FiniteDistLattice,
     FinitePoset,
     _bool_mm,
+    chain_factors,
     congruence_of_subspace,
     dual_order,
     duality_roundtrip,
     enumerate_prime_ideals,
     is_lattice_filter,
-    is_prime_ideal,
     lattice_from_downsets,
-    lattice_isomorphic,
-    poset_isomorphism,
-    prime_ideals_bruteforce,
     stone_map,
     transitive_closure,
 )
@@ -35,11 +34,15 @@ from mvspectra.mv import lukasiewicz_chain, product
 
 from conftest import (
     downsets_reference,
+    is_prime_ideal,
     lattice_from_downsets_reference,
     lattice_from_leq,
     mask_rows,
     order_components_reference,
     poset_from_pairs,
+    posets_isomorphic_reference,
+    prime_ideals_bruteforce,
+    relabelled,
     subset,
 )
 
@@ -406,29 +409,48 @@ def test_non_congruence_is_not_galois_closed():
     assert subspace_congruence(member, s) != theta
 
 
-# -- isomorphism search ----------------------------------------------------------
+# -- chain factors -----------------------------------------------------------------
 
 
-def test_poset_isomorphism_found_and_refuted():
-    p = poset_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    q = poset_from_pairs(4, [(3, 2), (3, 1), (2, 0), (1, 0)])
-    f = poset_isomorphism(p, q)
-    assert f is not None
-    for a in range(4):
-        for b in range(4):
-            assert bool(p.leq[a, b]) == bool(q.leq[f[a], f[b]])
-    chain = poset_from_pairs(4, [(0, 1), (1, 2), (2, 3)])
-    assert poset_isomorphism(p, chain) is None
+def _join_irreducible_poset(lat):
+    ji = lat.join_irreducibles
+    return FinitePoset(lat.leq[np.ix_(ji, ji)])
 
 
-def test_lattice_isomorphic_on_relabelled_lattice():
-    rng = random.Random(5)
-    lat = lattice_from_downsets(random_poset(rng, 5))
-    perm = list(range(lat.n))
-    rng.shuffle(perm)
-    inv = [perm.index(i) for i in range(lat.n)]
-    leq2 = lat.leq[np.ix_(inv, inv)]
-    relabelled = lattice_from_leq(leq2, validate=False)
-    assert lattice_isomorphic(lat, relabelled)
-    assert not lattice_isomorphic(lat, FiniteDistLattice.chain(lat.n))
-
+def test_chain_factors_decide_isomorphism_of_chain_products():
+    # every chain product, in every factor order, with at most 6
+    # join-irreducibles (the sum of its chain lengths)
+    shapes = [
+        shape
+        for k in range(1, 7)
+        for shape in itertools.product(range(1, 7), repeat=k)
+        if sum(shape) <= 6
+    ]
+    algs = {shape: functools.reduce(product, map(lukasiewicz_chain, shape)) for shape in shapes}
+    rng = random.Random(3)
+    by_size = {}
+    for shape, alg in algs.items():
+        by_size.setdefault(alg.n, []).append(shape)
+        factors = chain_factors(alg.lattice_reduct())
+        assert factors == sorted(shape), shape
+        perm = list(range(alg.n))
+        rng.shuffle(perm)
+        assert chain_factors(relabelled(alg, perm).lattice_reduct()) == factors, shape
+    pairs = [
+        pair for group in by_size.values()
+        for pair in itertools.combinations_with_replacement(group, 2)
+    ]
+    assert any(sorted(a) != sorted(b) for a, b in pairs)
+    for a, b in pairs:
+        lat_a, lat_b = algs[a].lattice_reduct(), algs[b].lattice_reduct()
+        same = chain_factors(lat_a) == chain_factors(lat_b)
+        oracle = posets_isomorphic_reference(
+            _join_irreducible_poset(lat_a), _join_irreducible_poset(lat_b)
+        )
+        assert same == oracle, (a, b)
+    # a distributive lattice whose join-irreducibles form a V is no product
+    # of chains
+    vee = lattice_from_downsets(poset_from_pairs(3, [(0, 2), (1, 2)]))
+    vee.validate_distributive()
+    with pytest.raises(LatticeError, match="not a disjoint union of chains"):
+        chain_factors(vee)

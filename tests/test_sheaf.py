@@ -19,11 +19,10 @@ from mvspectra.mv import (
     is_mv_ideal,
     lukasiewicz_chain,
     product,
-    quotient,
 )
 from mvspectra.verify import run_suite
 
-from conftest import relabelled, subset
+from conftest import quotient, relabelled, subset
 
 
 @pytest.fixture(scope="module")

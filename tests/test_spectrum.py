@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from mvspectra import spectrum as sp
 from mvspectra.chang import COFINITE, RADICAL, TRUNC, ChangAlgebra, ChangIdeal, ChangSpace
 from mvspectra.errors import Error
-from mvspectra.mv import MvAlgebra, is_maximal_mv_ideal, lukasiewicz_chain, product
+from mvspectra.mv import MvAlgebra, lukasiewicz_chain, product
 from mvspectra.verify import run_suite
 
-from conftest import oplus_bar_oracle, relabelled, subset
+from conftest import is_maximal_mv_ideal, oplus_bar_oracle, relabelled, subset
 
 
 def point_of(space, *members):
@@ -213,13 +213,6 @@ def test_foreign_objects_are_refused():
         with pytest.raises(Error) as exc:
             call()
         assert str(exc.value) == "not an MV-algebra: FiniteDistLattice"
-
-
-def test_kaplansky_budget_verdict():
-    big = product(lukasiewicz_chain(5), lukasiewicz_chain(5))
-    other = product(lukasiewicz_chain(5), lukasiewicz_chain(5))
-    verdict = sp.kaplansky_check(big, other, node_budget=1)
-    assert verdict == sp.VERDICT_BUDGET
 
 
 # -- chain products against their closed forms ---------------------------------

@@ -1,6 +1,7 @@
 """Suite-runner behavior: statuses, determinism, and honest failures."""
 
 import copy
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,6 +221,19 @@ def test_zigzag_classes_row_reads_the_relation(monkeypatch):
     assert rows["zigzag-classes-are-components"].detail == (
         "zig-zag classes differ from the order components"
     )
+
+
+# Lawful shapes inside the carrier cap at the extremes: more join-irreducibles
+# (the chain lengths summed) than Python's default recursion limit, and the
+# most chain factors.
+EXTREME_SHAPES = {"L1023": (1023,), "L1000xL1": (1000, 1), "L1^12": (1,) * 12}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_SHAPES))
+def test_kaplansky_suite_passes_on_extreme_shapes(name):
+    alg = functools.reduce(product, map(lukasiewicz_chain, EXTREME_SHAPES[name]))
+    rows = run_suite(alg, "kaplansky")
+    assert rows and [r.line() for r in rows if r.status != "pass"] == []
 
 
 # -- the vectorised rows name the witness a scalar scan names --------------------
