@@ -21,7 +21,7 @@ print("neg fin(4) =", alg.neg(fin(4)))
 
 # Axioms cannot be scanned exhaustively; a bounded scan over all triples
 # with indices up to N stands in, here N = 16.
-print("bounded axiom scan:", alg.check_axioms_bounded(16) is None)
+print("bounded axiom scan:", alg.first_violation(16) is None)
 
 # The dual space is a chain: the truncation ideals, then the radical, then
 # the co-finite ideals.  Only the first truncation ideal and the radical

@@ -12,6 +12,9 @@ families.  Each operation has one closed form, numpy code on integer arrays
 (the *_pairs functions): the scalar methods call it on one pair, and the
 bounded checks, which run the quantifiers over the infinite carrier on
 bounded windows, call it on whole windows.
+
+ChangAlgebra has the carrier protocol of mv.MvAlgebra: finite is False,
+dual_space() is ChangSpace, and first_violation(bound) scans the window.
 """
 
 from __future__ import annotations
@@ -120,6 +123,8 @@ def cofin(k):
 class ChangAlgebra:
     """The chain's operations, each one call of its closed form; no tables."""
 
+    finite = False
+
     def __init__(self):
         self.zero = fin(0)
         self.one = cofin(0)
@@ -153,7 +158,10 @@ class ChangAlgebra:
         """The window as elements, in chain order."""
         return [ChangElement(t, k) for t, k in zip(*(a.tolist() for a in self.window(bound)))]
 
-    def check_axioms_bounded(self, bound):
+    def dual_space(self):
+        return ChangSpace()
+
+    def first_violation(self, bound):
         """Axiom scan with all quantifiers restricted to the window.
 
         Two steps that compose to a direct triple scan: (1) the closed forms

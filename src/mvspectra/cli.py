@@ -18,7 +18,7 @@ import json
 import sys
 
 from .errors import CapExceeded, Error
-from .mv import SCHEMA, SUITE_NAMES, MvAlgebra, algebra_from_json, check_axioms
+from .mv import SCHEMA, SUITE_NAMES, algebra_from_json
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 # the bounded scans of the symbolic chain grow with the cube of the bound:
@@ -58,7 +58,7 @@ def _emit(data, out):
 
 
 def _carrier_guard(alg, cap):
-    if isinstance(alg, MvAlgebra) and alg.n > cap:
+    if alg.finite and alg.n > cap:
         raise CapExceeded(f"carrier {alg.n} exceeds the cap {cap}")
 
 
@@ -67,10 +67,7 @@ def cmd_check(args, out):
         raise UsageError("check has no dot form")
     # load without validation so the scan itself reports the witness
     alg = _load_algebra(args.input, validate=False)
-    if isinstance(alg, MvAlgebra):
-        bad = check_axioms(alg)
-    else:
-        bad = alg.check_axioms_bounded(args.chang_bound)
+    bad = alg.first_violation(args.chang_bound)
     report = {
         "schema": SCHEMA,
         "ok": bad is None,
@@ -105,7 +102,7 @@ def cmd_spectrum(args, out):
     if args.format == "json":
         _emit(data, out)
         return OK
-    if "points" in data and isinstance(data["points"], list):
+    if alg.finite:
         out.write(f"points: {len(data['points'])}\n")
         out.write(f"Y: {data['Y']}\nZ: {data['Z']}\n")
         out.write(f"k: {data['k']}\nm: {data['m']}\n")

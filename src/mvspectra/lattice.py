@@ -219,9 +219,6 @@ class FiniteDistLattice:
             acc = np.where(below[i], self.join[i, acc], acc)
         return [int(j) for j in np.flatnonzero(acc != np.arange(self.n))]
 
-    def poset(self):
-        return FinitePoset(self.leq, validate=False)
-
 
 def _lub(leq, a, b):
     ub = np.flatnonzero(leq[a, :] & leq[b, :])

@@ -44,8 +44,12 @@ class MvAlgebra:
     labels name elements for display and JSON; they carry no structure.
     Construction always rejects malformed tables and the empty or trivial
     carrier; validate=False skips only the axiom checks, so negative tests
-    can build deliberately broken tables.
+    can build deliberately broken tables.  finite, dual_space() and
+    first_violation(bound) are the carrier protocol of chang.ChangAlgebra
+    too; here the scan is exact, so the bound of its window plays no role.
     """
+
+    finite = True
 
     def __init__(self, neg, oplus, zero=0, labels=None, validate=True):
         try:
@@ -116,6 +120,14 @@ class MvAlgebra:
     @cached_property
     def idempotents(self):
         return [int(e) for e in np.flatnonzero(self.oplus.diagonal() == np.arange(self.n))]
+
+    def dual_space(self):
+        from .spectrum import MvDualSpace
+
+        return MvDualSpace(self)
+
+    def first_violation(self, bound):
+        return check_axioms(self)
 
 
 def check_axioms(alg):
@@ -291,6 +303,13 @@ def require_rows(rows, width, ndim=1, of="the carrier"):
         raise AlgebraError(f"subsets of {of} must be boolean rows of length {width}")
 
 
+def require_algebra(alg):
+    """alg, if it has the carrier protocol of MvAlgebra; else AlgebraError."""
+    if not all(hasattr(alg, m) for m in ("finite", "dual_space", "first_violation")):
+        raise AlgebraError(f"not an MV-algebra: {type(alg).__name__}")
+    return alg
+
+
 def is_mv_ideal(alg, row):
     """Downset containing zero, closed under truncated addition."""
     from .lattice import _closed_set
@@ -383,7 +402,7 @@ def algebra_from_json(data, validate=True):
         if not isinstance(factors, list) or len(factors) < 2:
             raise AlgebraError('product needs a list "factors" of length >= 2')
         algs = [algebra_from_json(f, validate=validate) for f in factors]
-        if any(not isinstance(a, MvAlgebra) for a in algs):
+        if not all(a.finite for a in algs):
             raise AlgebraError("product factors must be finite; chang is symbolic")
         out = algs[0]
         for nxt in algs[1:]:

@@ -94,7 +94,7 @@ def _decomposition(space, base):
     """q, the base points and their order for a named base: (Y, k, the
     order on Y) or (Z, m.k, the discrete order).  This is the one place
     that names a base."""
-    if not isinstance(space, MvDualSpace):
+    if not space.algebra.finite:
         raise AlgebraError("etale instances need a finite dual space")
     if base == BASE_PRIME:
         base_points, raw = space.y_points, space.k

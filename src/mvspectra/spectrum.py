@@ -21,10 +21,11 @@ mv.ideal_generated and the k_via_* routes are oracles for verify.
 
 Construction computes and does not check: MvDualSpace raises AlgebraError
 only where a table entry cannot be produced at all.  verify owns the laws,
-one check each.  MvDualSpace and ChangSpace answer the same point methods
-(involute, partial_plus, k_map, m_map, fiber, to_json, to_dot), so callers
-never branch on the carrier; a finite fiber is a boolean row, a symbolic
-one a window of points.
+one check each.  Each carrier builds its own space (alg.dual_space()),
+and MvDualSpace and ChangSpace answer the same point methods (involute,
+partial_plus, k_map, m_map, fiber, to_json, to_dot), so callers never
+branch on the carrier, and read alg.finite where tables are needed.  A
+finite fiber is a boolean row, a symbolic one a window of points.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .lattice import (
     enumerate_prime_ideals,
     stone_map,
 )
-from .mv import SCHEMA, MvAlgebra, enumerate_mv_ideals, maximal_mv_ideals
+from .mv import SCHEMA, enumerate_mv_ideals, maximal_mv_ideals, require_algebra
 
 
 class MvDualSpace:
@@ -56,13 +57,13 @@ class MvDualSpace:
     in the ideal of point x, so the basic set a-hat is the complement of
     column a.  order is ideal inclusion.  involution is a permutation array;
     plus is an integer table with -1 for undefined; k is a total array into
-    y_points; m maps y-point indices to z-point indices.  in_y and in_z are
+    y_points; m is an array into z_points, -1 off Y.  in_y and in_z are
     the boolean rows of Y and Z over the points, and y_points and z_points
     their indices in ascending order.
     """
 
     def __init__(self, alg):
-        if _is_chang(alg):
+        if not require_algebra(alg).finite:
             raise AlgebraError("use ChangSpace for the symbolic carrier")
         self.algebra = alg
         self.lattice = alg.lattice_reduct()
@@ -107,8 +108,8 @@ class MvDualSpace:
             raise AlgebraError(
                 f"point {self.y_points[i]} lies under {counts[i]} maximal MV points"
             )
-        z_of = np.array(self.z_points, dtype=np.int64)[above.nonzero()[1]]
-        self.m = dict(zip(self.y_points, z_of.tolist()))
+        self.m = np.full(npts, -1, dtype=np.int64)
+        self.m[self.in_y] = np.array(self.z_points, dtype=np.int64)[above.nonzero()[1]]
 
     def _top_members(self, rows):
         """Per boolean row, the member with the most elements below it."""
@@ -126,7 +127,7 @@ class MvDualSpace:
 
     @cached_property
     def mk(self):
-        return np.array([self.m[v] for v in self.k.tolist()])
+        return self.m[self.k]
 
     def hat(self, a):
         """The boolean row of the points whose ideal omits a: the basic set
@@ -187,7 +188,7 @@ class MvDualSpace:
             "Y": [int(y) for y in self.y_points],
             "Z": [int(z) for z in self.z_points],
             "k": [int(v) for v in self.k],
-            "m": [[int(y), int(z)] for y, z in sorted(self.m.items())],
+            "m": [[int(y), int(self.m[y])] for y in self.y_points],
         }
 
     def to_dot(self, chang_bound=8):
@@ -198,26 +199,9 @@ class MvDualSpace:
         )
 
 
-def _is_chang(alg):
-    """Whether alg is the symbolic chain carrier rather than a finite
-    algebra; anything else is refused.  chang loads only off the finite
-    path."""
-    if isinstance(alg, MvAlgebra):
-        return False
-    from .chang import ChangAlgebra
-
-    if isinstance(alg, ChangAlgebra):
-        return True
-    raise AlgebraError(f"not an MV-algebra: {type(alg).__name__}")
-
-
 def build_dual_space(alg):
-    """The dual space; the symbolic chain carrier gets its taxonomy space."""
-    if not _is_chang(alg):
-        return MvDualSpace(alg)
-    from .chang import ChangSpace
-
-    return ChangSpace()
+    """The dual space the carrier builds: MvDualSpace or ChangSpace."""
+    return require_algebra(alg).dual_space()
 
 
 def interpolate(space, x, xp):
@@ -320,11 +304,10 @@ def kaplansky_check(a, b):
     reducts with different counts would falsify the theorem, so that case
     raises.
     """
-    chang_a = _is_chang(a)
-    chang_b = _is_chang(b)
-    if chang_a != chang_b:
+    finite = require_algebra(a).finite
+    if finite != require_algebra(b).finite:
         return VERDICT_INCOMPARABLE
-    if chang_a:
+    if not finite:
         return VERDICT_HOMEOMORPHIC  # both are the same chain: |Z| = 1
     if chain_factors(a.lattice_reduct()) != chain_factors(b.lattice_reduct()):
         return VERDICT_NOT_ISOMORPHIC

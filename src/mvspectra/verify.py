@@ -6,9 +6,10 @@ checks into pass/fail/skip results.  The spaces, bundles and solvers only
 compute, and the CLI and the test suite both drive this module, so every
 law is checked by exactly one piece of code.
 
-Suites: all, plus, k, kaplansky, sheaf-prime, sheaf-maximal, crt.  The
-symbolic chain carrier runs bounded or symbolic variants and skips the
-section-enumeration suites, which need a finite carrier.
+Suites: all, plus, k, kaplansky, sheaf-prime, sheaf-maximal, crt, keyed
+in SUITES by alg.finite.  The symbolic chain runs its own axiom scan and
+bounded or symbolic variants, and skips the section-enumeration suites,
+which need a finite carrier.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .lattice import (
 )
 from .mv import (
     SUITE_NAMES,
-    check_axioms,
     congruence_class,
     enumerate_mv_ideals,
     ideal_generated,
     maximal_mv_ideals,
+    require_algebra,
 )
 from .sheaf import (
     BASE_MAXIMAL,
@@ -537,7 +538,7 @@ def _check_ideal_join_coincidence(ctx):
 
 
 def _check_axioms(ctx):
-    bad = check_axioms(ctx.alg)
+    bad = ctx.alg.first_violation(ctx.chang_bound)
     if bad is not None:
         _fail(str(bad))
 
@@ -547,12 +548,6 @@ def _check_duality(ctx):
 
 
 # -- symbolic variants ----------------------------------------------------------
-
-
-def _chang_axioms(ctx):
-    bad = ctx.alg.check_axioms_bounded(ctx.chang_bound)
-    if bad is not None:
-        _fail(str(bad))
 
 
 def _in_y(space, f, n):
@@ -625,76 +620,71 @@ def _skip_symbolic(_ctx):
     return "skip", "symbolic carrier: section enumeration needs a finite base"
 
 
-FINITE_SUITES = {
-    "plus": [
-        ("involution-laws", _check_involution_laws),
-        ("plus-commutative", _check_plus_commutative),
-        ("plus-associative", _check_plus_associative),
-        ("plus-translation", _check_plus_translation),
-        ("plus-idempotents-are-mv-points", _check_plus_idempotents),
-        ("plus-continuity-identity", _check_plus_continuity),
-        ("plus-domain-description", _check_plus_domain),
-        ("plus-matches-ideal-sums", _check_plus_matches_ideal_sums),
-    ],
-    "k": [
-        ("k-three-routes-agree", _check_k_routes),
-        ("k-fixes-exactly-mv-points", _check_k_fixes_y),
-        ("k-fibers-cover-and-chain", _check_k_fibers),
-        ("k-continuity-identity", _check_k_continuity),
-        ("interpolation-witness", _check_interpolation),
-        ("mk-constant-on-comparables", _check_mk_on_comparables),
-        ("root-system", _check_root_system),
-    ],
-    "kaplansky": [
-        ("zigzag-quotient-lawful", _check_w_lawful),
-        ("zigzag-classes-are-components", _check_w_components),
-        ("lattice-only-reconstruction", _check_lattice_only),
-        ("self-comparison-homeomorphic", _check_self_kaplansky),
-    ],
-    "sheaf-prime": [
-        ("prime-stalks-nontrivial-chains", _check_stalks_prime),
-        ("eta-prime-isomorphism", _check_eta_prime),
-        ("patch-roundtrip", _check_patch_roundtrip),
-        ("patch-rejects-incompatible", _check_patch_negative),
-    ],
-    "sheaf-maximal": [
-        ("germinal-ideals-carve-fibers", _check_germinal),
-        ("eta-maximal-isomorphism", _check_eta_maximal),
-        ("maximal-fibers-are-components", _check_maximal_fibers),
-    ],
-    "crt": [
-        ("crt-random-instances", _check_crt_random),
-        ("crt-rejects-incompatible", _check_crt_negative),
-        ("crt-term-agreement", _check_crt_term),
-        ("tower-sandwich", _check_tower_sandwich),
-        ("ideal-join-coincidence", _check_ideal_join_coincidence),
-    ],
-}
-
-CHANG_SUITES = {
-    "plus": [("plus-symbolic-window", _chang_plus)],
-    "k": [("k-closed-forms-window", _chang_k)],
-    "kaplansky": [("spectrum-doubleton", _chang_kaplansky)],
-    "sheaf-prime": [("sheaf-prime-symbolic", _skip_symbolic)],
-    "sheaf-maximal": [("sheaf-maximal-symbolic", _skip_symbolic)],
-    "crt": [("crt-symbolic", _skip_symbolic)],
+# each suite's rows, keyed by alg.finite; "all" adds its head rows
+SUITES = {
+    True: {
+        "all": [("axioms", _check_axioms), ("duality-roundtrip", _check_duality)],
+        "plus": [
+            ("involution-laws", _check_involution_laws),
+            ("plus-commutative", _check_plus_commutative),
+            ("plus-associative", _check_plus_associative),
+            ("plus-translation", _check_plus_translation),
+            ("plus-idempotents-are-mv-points", _check_plus_idempotents),
+            ("plus-continuity-identity", _check_plus_continuity),
+            ("plus-domain-description", _check_plus_domain),
+            ("plus-matches-ideal-sums", _check_plus_matches_ideal_sums),
+        ],
+        "k": [
+            ("k-three-routes-agree", _check_k_routes),
+            ("k-fixes-exactly-mv-points", _check_k_fixes_y),
+            ("k-fibers-cover-and-chain", _check_k_fibers),
+            ("k-continuity-identity", _check_k_continuity),
+            ("interpolation-witness", _check_interpolation),
+            ("mk-constant-on-comparables", _check_mk_on_comparables),
+            ("root-system", _check_root_system),
+        ],
+        "kaplansky": [
+            ("zigzag-quotient-lawful", _check_w_lawful),
+            ("zigzag-classes-are-components", _check_w_components),
+            ("lattice-only-reconstruction", _check_lattice_only),
+            ("self-comparison-homeomorphic", _check_self_kaplansky),
+        ],
+        "sheaf-prime": [
+            ("prime-stalks-nontrivial-chains", _check_stalks_prime),
+            ("eta-prime-isomorphism", _check_eta_prime),
+            ("patch-roundtrip", _check_patch_roundtrip),
+            ("patch-rejects-incompatible", _check_patch_negative),
+        ],
+        "sheaf-maximal": [
+            ("germinal-ideals-carve-fibers", _check_germinal),
+            ("eta-maximal-isomorphism", _check_eta_maximal),
+            ("maximal-fibers-are-components", _check_maximal_fibers),
+        ],
+        "crt": [
+            ("crt-random-instances", _check_crt_random),
+            ("crt-rejects-incompatible", _check_crt_negative),
+            ("crt-term-agreement", _check_crt_term),
+            ("tower-sandwich", _check_tower_sandwich),
+            ("ideal-join-coincidence", _check_ideal_join_coincidence),
+        ],
+    },
+    False: {
+        "all": [("axioms-bounded", _check_axioms)],
+        "plus": [("plus-symbolic-window", _chang_plus)],
+        "k": [("k-closed-forms-window", _chang_k)],
+        "kaplansky": [("spectrum-doubleton", _chang_kaplansky)],
+        "sheaf-prime": [("sheaf-prime-symbolic", _skip_symbolic)],
+        "sheaf-maximal": [("sheaf-maximal-symbolic", _skip_symbolic)],
+        "crt": [("crt-symbolic", _skip_symbolic)],
+    },
 }
 
 
 def _suite_checks(alg, suite):
     if suite not in SUITE_NAMES:
         raise Error(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    symbolic = isinstance(alg, chang.ChangAlgebra)
-    table = CHANG_SUITES if symbolic else FINITE_SUITES
-    if suite != "all":
-        return list(table[suite])
-    head = [("axioms-bounded", _chang_axioms) if symbolic else ("axioms", _check_axioms)]
-    if not symbolic:
-        head.append(("duality-roundtrip", _check_duality))
-    out = list(head)
-    for name in ("plus", "k", "kaplansky", "sheaf-prime", "sheaf-maximal", "crt"):
-        out.extend(table[name])
-    return out
+    table = SUITES[require_algebra(alg).finite]
+    return [row for name in SUITE_NAMES if suite in ("all", name) for row in table[name]]
 
 
 def run_suite(
@@ -710,20 +700,12 @@ def run_suite(
     results = []
     for name, fn in _suite_checks(alg, suite):
         try:
-            out = fn(ctx)
+            out = fn(ctx) or ("pass",)  # a row returns None or (status, detail)
         except CapExceeded as exc:
-            results.append(CheckResult(name, "skip", str(exc)))
-            continue
+            out = ("skip", str(exc))
         except Error as exc:
-            results.append(CheckResult(name, "fail", str(exc)))
-            continue
+            out = ("fail", str(exc))
         except Exception as exc:  # garbage inputs can crash checks mid-scan
-            results.append(
-                CheckResult(name, "fail", f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        if isinstance(out, tuple) and out and out[0] == "skip":
-            results.append(CheckResult(name, "skip", out[1]))
-        else:
-            results.append(CheckResult(name, "pass"))
+            out = ("fail", f"{type(exc).__name__}: {exc}")
+        results.append(CheckResult(name, *out))
     return results

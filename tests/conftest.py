@@ -192,7 +192,7 @@ def is_prime_ideal(lat, row):
 
 def prime_ideals_bruteforce(lat, limit=2_000_000):
     """Oracle path: scan every downset of the carrier order."""
-    rows = lat.poset().downsets(limit=limit)
+    rows = FinitePoset(lat.leq, validate=False).downsets(limit=limit)
     return _canonical(rows[[is_prime_ideal(lat, row) for row in rows]])
 
 

@@ -47,7 +47,7 @@ def test_criterion_1_axiom_suite(family):
     t0 = time.monotonic()
     for label, alg in family.items():
         assert check_axioms(alg) is None, label
-    assert ChangAlgebra().check_axioms_bounded(32) is None
+    assert ChangAlgebra().first_violation(32) is None
     dt = time.monotonic() - t0
     assert dt < 5.0, f"axiom suite took {dt:.2f}s"
     print(f"criterion 1 (axioms, {len(family)} algebras + symbolic): PASS in {dt:.2f}s")

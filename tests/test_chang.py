@@ -117,13 +117,13 @@ def test_encode_decode_roundtrip():
 
 
 def test_bounded_axiom_check_passes():
-    assert ALG.check_axioms_bounded(8) is None
+    assert ALG.first_violation(8) is None
 
 
 def test_bounded_scan_refuses_bounds_past_the_window_dtype():
     # top = 8 * 2047 + 8; 2 * top would wrap in int16
     with pytest.raises(AlgebraError, match="overflows"):
-        ALG.check_axioms_bounded(2047)
+        ALG.first_violation(2047)
 
 
 def _break_neg(t, k):  # neg fin(2) = cofin(3), neg cofin(2) = fin(3)
@@ -153,7 +153,7 @@ BREAKS = {
 def test_bounded_scan_names_the_broken_closed_form(op, monkeypatch):
     broken, witness = BREAKS[op]
     monkeypatch.setattr(chang, f"{op}_pairs", broken)
-    bad = ALG.check_axioms_bounded(6)
+    bad = ALG.first_violation(6)
     assert bad.law == f"{op}-closed-form"
     assert bad.witness == witness
     # the broken operation disagrees with the encoding at the witness

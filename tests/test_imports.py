@@ -5,6 +5,7 @@ it runs.  The module sets are read off sys.modules in fresh interpreters,
 so an eager import added later fails here instead of costing every call.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -95,6 +96,23 @@ def test_check_does_not_load_numpy_ma(raw, code):
         "assert 'numpy.ma' not in sys.modules, 'check loaded numpy.ma'"
     )
     assert loaded_modules(body) == CHECK
+
+
+def test_carrier_layers_test_no_types():
+    # the carriers answer finite, dual_space() and first_violation(bound),
+    # so the modules above them never ask which class they hold; verify
+    # alone imports chang, for the closed forms of its symbolic rows
+    carriers = {"MvAlgebra", "ChangAlgebra", "MvDualSpace", "ChangSpace"}
+    for name in ("cli", "spectrum", "sheaf", "verify"):
+        with open(os.path.join(SRC, "mvspectra", f"{name}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+                assert not named & carriers, f"{name}.py line {node.lineno}"
+            if name != "verify" and isinstance(node, ast.ImportFrom):
+                imported = {node.module} | {alias.name for alias in node.names}
+                assert "chang" not in imported, f"{name}.py line {node.lineno}"
 
 
 def test_reading_an_algebra_loads_only_the_algebra_layer():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mvspectra import spectrum as sp
 from mvspectra.chang import COFINITE, RADICAL, TRUNC, ChangAlgebra, ChangIdeal, ChangSpace
 from mvspectra.errors import Error
-from mvspectra.mv import MvAlgebra, lukasiewicz_chain, product
+from mvspectra.mv import MvAlgebra, check_axioms, lukasiewicz_chain, product
 from mvspectra.verify import run_suite
 
 from conftest import is_maximal_mv_ideal, oplus_bar_oracle, relabelled, subset
@@ -213,6 +213,34 @@ def test_foreign_objects_are_refused():
         with pytest.raises(Error) as exc:
             call()
         assert str(exc.value) == "not an MV-algebra: FiniteDistLattice"
+
+
+@pytest.mark.parametrize(
+    "alg, finite",
+    [
+        (lukasiewicz_chain(3), True),
+        (product(lukasiewicz_chain(2), lukasiewicz_chain(3)), True),
+        (ChangAlgebra(), False),
+    ],
+    ids=["L3", "L2xL3", "chang"],
+)
+def test_carriers_answer_one_protocol(alg, finite):
+    assert alg.finite is finite
+    assert alg.dual_space().to_json() == sp.build_dual_space(alg).to_json()
+    assert alg.dual_space() is not alg.dual_space()  # a fresh space per call
+    assert alg.first_violation(8) is None
+
+
+def test_first_violation_is_the_axiom_scan_and_foreign_objects_have_none():
+    alg = lukasiewicz_chain(3)
+    oplus = alg.oplus.copy()
+    oplus[1, 2] = 1  # 1 + 2 no longer equals 2 + 1
+    broken = MvAlgebra(alg.neg, oplus, validate=False)
+    assert broken.first_violation(8) == check_axioms(broken)
+    assert broken.first_violation(8).law == "commutativity"
+    with pytest.raises(Error) as exc:
+        run_suite(alg.lattice_reduct())
+    assert str(exc.value) == "not an MV-algebra: FiniteDistLattice"
 
 
 # -- chain products against their closed forms ---------------------------------
