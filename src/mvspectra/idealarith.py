@@ -61,5 +61,7 @@ def sum_table(alg, row):
     lattice._bool_mm for many sets at once)."""
     sums = alg.oplus[row]  # one row of sums per member, indexed by b
     table = np.zeros((alg.n, alg.n), dtype=bool)
-    table.reshape(-1)[sums + alg.n * np.arange(alg.n)] = True  # flat [b, sum]
+    # flat [b, sum] keys reach n * n, past TABLE_DTYPE: np.intp offsets
+    # make the whole key np.intp
+    table.reshape(-1)[sums + alg.n * np.arange(alg.n, dtype=np.intp)] = True
     return table

@@ -36,6 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceeded, LatticeError, NotDistributiveError, PosetError
+from .mv import PRODUCT_CAP, TABLE_DTYPE
 
 
 def _bool_mm(a, b):
@@ -141,8 +142,8 @@ class FiniteDistLattice:
     def __init__(self, leq, join, meet, labels=None, validate=True):
         # asarray: a reduct shares its algebra's tables instead of copying
         self.leq = np.asarray(leq, dtype=bool)
-        self.join = np.asarray(join, dtype=np.int64)
-        self.meet = np.asarray(meet, dtype=np.int64)
+        self.join = np.asarray(join)
+        self.meet = np.asarray(meet)
         self.n = int(self.leq.shape[0])
         self.labels = tuple(labels) if labels is not None else tuple(range(self.n))
         if self.join.shape != (self.n, self.n) or self.meet.shape != (self.n, self.n):
@@ -189,7 +190,8 @@ class FiniteDistLattice:
         try:
             downs = FinitePoset(self.leq[np.ix_(ji, ji)]).downsets(limit=self.n)
             found = _row_finder(downs)(below)  # each element's downset, or -1
-            ok = len(downs) == self.n and found.min() >= 0 and len(np.unique(found)) == self.n
+            # n downsets, each hit once (bincount: np.unique loads numpy.ma)
+            ok = len(downs) == self.n and found.min() >= 0 and (np.bincount(found) == 1).all()
         except CapExceeded:
             ok = False
         if not ok:
@@ -330,6 +332,14 @@ def _distinct_rows(rows):
     return _canonical(rows[first])
 
 
+def _level_sets(values):
+    """The level sets of an array of indices over the points, one boolean
+    row per value it takes, in canonical order.  np.bincount finds the
+    values: np.unique would load numpy.ma into the process."""
+    taken = np.flatnonzero(np.bincount(values))
+    return _canonical(values == taken[:, None])
+
+
 def _row_finder(rows):
     """find(queries): the position among the boolean rows of each query
     row, -1 where none is equal.  Queries are boolean rows or their
@@ -356,13 +366,13 @@ def lattice_from_downsets(poset):
     rows and found among the downsets by _row_finder, a block of rows at a
     time.  Both operations commute, so each block starts at its own first
     row and the lower triangle is mirrored in at the end."""
-    rows = poset.downsets()
+    rows = poset.downsets(limit=PRODUCT_CAP)
     rows = rows[np.lexsort(np.vstack([rows.T, rows.sum(axis=1)]))]
     find = _row_finder(rows)
     packed = np.packbits(rows, axis=-1)
     n, width = packed.shape
-    join = np.empty((n, n), dtype=np.int64)
-    meet = np.empty((n, n), dtype=np.int64)
+    join = np.empty((n, n), dtype=TABLE_DTYPE)
+    meet = np.empty((n, n), dtype=TABLE_DTYPE)
     block = max(1, (1 << 20) // (n * width))
     for lo in range(0, n, block):
         left = packed[lo:lo + block, None]
@@ -400,7 +410,7 @@ def duality_roundtrip(lat):
     if (iso < 0).any():
         a = int(np.argmax(iso < 0))
         raise LatticeError(f"stone image of {a} is not a downset of the dual")
-    if dl.n != lat.n or len(np.unique(iso)) != lat.n:
+    if dl.n != lat.n or (np.bincount(iso) != 1).any():
         raise LatticeError("stone map is not a bijection onto downsets")
     if (iso[lat.join] != dl.join[iso[:, None], iso[None, :]]).any():
         raise LatticeError("stone map does not preserve joins")

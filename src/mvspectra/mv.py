@@ -20,6 +20,11 @@ from .errors import AlgebraError, CapExceeded
 SCHEMA = "mv-spectra/1"
 # the largest carrier algebra_from_json builds, checked before allocation
 PRODUCT_CAP = 4096
+# the dtype of every carrier and dual-space index table: an element or point
+# index below PRODUCT_CAP, or the sum of two, fits it at a quarter of int64's
+# size.  numpy 2 keeps int16 arithmetic in int16 (NEP 50), so a key that can
+# outgrow the dtype, such as a * n + b, is computed in np.intp.
+TABLE_DTYPE = np.int16
 # the suites of verify.run_suite, here so that the CLI can offer them as
 # --suite choices without loading verify
 SUITE_NAMES = ("all", "plus", "k", "kaplansky", "sheaf-prime", "sheaf-maximal", "crt")
@@ -42,9 +47,10 @@ class MvAlgebra:
     """Carrier 0..n-1 with negation and truncated-addition tables.
 
     labels name elements for display and JSON; they carry no structure.
-    Construction always rejects malformed tables and the empty or trivial
-    carrier; validate=False skips only the axiom checks, so negative tests
-    can build deliberately broken tables.  finite, dual_space() and
+    The tables are stored as TABLE_DTYPE.  Construction always rejects
+    malformed tables, the empty or trivial carrier and one over PRODUCT_CAP;
+    validate=False skips only the axiom checks, so negative tests can build
+    deliberately broken tables.  finite, dual_space() and
     first_violation(bound) are the carrier protocol of chang.ChangAlgebra
     too; here the scan is exact, so the bound of its window plays no role.
     """
@@ -52,11 +58,21 @@ class MvAlgebra:
     finite = True
 
     def __init__(self, neg, oplus, zero=0, labels=None, validate=True):
+        # before any conversion: past the dtype, entries of a carrier over
+        # the cap would read as out of range
         try:
-            self.neg = np.array(neg, dtype=np.int64)
-            self.oplus = np.array(oplus, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            raise AlgebraError("tables must be rectangular int64 arrays") from None
+            size = len(neg)
+        except TypeError:
+            size = 0  # not a sequence; refused below as malformed
+        if size > PRODUCT_CAP:
+            raise CapExceeded(f"carrier {size} exceeds cap {PRODUCT_CAP}")
+        try:
+            self.neg = _table(neg)
+            self.oplus = _table(oplus)
+        except OverflowError:
+            raise AlgebraError("table entries out of carrier range") from None
+        except (TypeError, ValueError):
+            raise AlgebraError("tables must be rectangular integer arrays") from None
         self.zero = int(zero)
         self.verdicts = {}  # idealarith.decided's cache of ideal tests
         n = self.neg.shape[0] if self.neg.ndim == 1 else 0
@@ -130,6 +146,18 @@ class MvAlgebra:
         return check_axioms(self)
 
 
+def _table(values):
+    """values as a TABLE_DTYPE array, converted once.  An entry the dtype
+    cannot hold raises OverflowError: a Python int does so by itself, a
+    numpy array of a wider dtype would wrap silently, so it is range-checked
+    first."""
+    if isinstance(values, np.ndarray) and not np.can_cast(values.dtype, TABLE_DTYPE):
+        info = np.iinfo(TABLE_DTYPE)
+        if values.size and (values.min() < info.min or values.max() > info.max):
+            raise OverflowError
+    return np.array(values, dtype=TABLE_DTYPE)
+
+
 def check_axioms(alg):
     """First violated law of Chang's six, in the fixed order, or None.
 
@@ -179,7 +207,7 @@ def _chain_certificate(alg):
     digits, tops, weights = [], [], []
     weight = n
     for coord, chain in zip(coords, chains):
-        rank = np.zeros(n, dtype=np.int64)
+        rank = np.zeros(n, dtype=TABLE_DTYPE)
         rank[chain] = (oplus[np.ix_(neg[chain], chain)] == alg.one).sum(axis=0) - 1
         weight //= len(chain)
         digits.append(rank[coord])
@@ -193,11 +221,13 @@ def _chain_certificate(alg):
         and all((d[neg] == top - d).all() for d, top in zip(digits, tops))
     ):
         return False
+    # digits lie in 0..top now, so min(a, top - b) + b, which is
+    # min(a + b, top), keeps every intermediate below n in TABLE_DTYPE
     rows = max(1, (1 << 20) // n)
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
         want = sum(
-            np.minimum(d[block, None] + d[None, :], top) * w
+            (np.minimum(d[block, None], top - d[None, :]) + d[None, :]) * w
             for d, top, w in zip(digits, tops, weights)
         )
         if not (code[oplus[block]] == want).all():
@@ -263,15 +293,19 @@ def lukasiewicz_chain(n):
     """The chain 0, 1/n, ..., 1 with truncated addition; n >= 1."""
     if n < 1:
         raise AlgebraError("chain parameter must be at least 1")
-    idx = np.arange(n + 1)
-    oplus = np.minimum(idx[:, None] + idx[None, :], n)
+    if n + 1 > PRODUCT_CAP:
+        raise CapExceeded(f"chain carrier {n + 1} exceeds cap {PRODUCT_CAP}")
+    idx = np.arange(n + 1, dtype=TABLE_DTYPE)
+    # min(a, n - b) + b is min(a + b, n) with no intermediate above n
+    oplus = np.minimum(idx[:, None], n - idx[None, :]) + idx[None, :]
     labels = tuple(str(i) for i in range(n + 1))
     return MvAlgebra(n - idx, oplus, zero=0, labels=labels, validate=False)
 
 
 def product(a, b, cap=PRODUCT_CAP):
     """Componentwise product; element (i, j) is i * b.n + j, labelled by
-    the pair of factor labels."""
+    the pair of factor labels.  Every such index is below n, so the tables
+    are built in TABLE_DTYPE."""
     n = a.n * b.n
     if n > cap:
         raise CapExceeded(f"product carrier {n} exceeds cap {cap}")
@@ -394,8 +428,6 @@ def algebra_from_json(data, validate=True):
         n = data.get("n")
         if type(n) is not int:  # exact type, as for table entries
             raise AlgebraError('lukasiewicz needs an integer "n"')
-        if n + 1 > PRODUCT_CAP:
-            raise CapExceeded(f"chain carrier {n + 1} exceeds cap {PRODUCT_CAP}")
         return lukasiewicz_chain(n)
     if kind == "product":
         factors = data.get("factors")

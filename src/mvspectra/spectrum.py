@@ -39,14 +39,20 @@ from .errors import AlgebraError
 from .idealarith import ominus_bar, sum_table
 from .lattice import (
     _bool_mm,
-    _canonical,
+    _level_sets,
     _row_finder,
     chain_factors,
     dual_order,
     enumerate_prime_ideals,
     stone_map,
 )
-from .mv import SCHEMA, enumerate_mv_ideals, maximal_mv_ideals, require_algebra
+from .mv import (
+    SCHEMA,
+    TABLE_DTYPE,
+    enumerate_mv_ideals,
+    maximal_mv_ideals,
+    require_algebra,
+)
 
 
 class MvDualSpace:
@@ -57,9 +63,10 @@ class MvDualSpace:
     in the ideal of point x, so the basic set a-hat is the complement of
     column a.  order is ideal inclusion.  involution is a permutation array;
     plus is an integer table with -1 for undefined; k is a total array into
-    y_points; m is an array into z_points, -1 off Y.  in_y and in_z are
-    the boolean rows of Y and Z over the points, and y_points and z_points
-    their indices in ascending order.
+    y_points; m is an array into z_points, -1 off Y.  These index arrays,
+    the generators and the lookups behind them are TABLE_DTYPE, like the
+    algebra's tables.  in_y and in_z are the boolean rows of Y and Z over
+    the points, and y_points and z_points their indices in ascending order.
     """
 
     def __init__(self, alg):
@@ -74,12 +81,12 @@ class MvDualSpace:
         # every lattice ideal of a finite lattice is principal: its generator
         # is the member with the most elements below it
         leq = alg.leq
-        self._down_count = leq.sum(axis=0)
-        gens = self._top_members(member)
+        self._down_count = leq.sum(axis=0, dtype=TABLE_DTYPE)
+        gens = self._top_members(member).astype(TABLE_DTYPE)
         if not (leq[:, gens].T == member).all():
             raise AlgebraError("prime ideal is not principal")
         self.generators = gens
-        self._point_of = np.full(n, -1, dtype=np.int64)
+        self._point_of = np.full(n, -1, dtype=TABLE_DTYPE)
         self._point_of[gens] = np.arange(npts)
 
         # b lies in the ideal of i(x) exactly when neg(b) escapes I_x
@@ -108,8 +115,8 @@ class MvDualSpace:
             raise AlgebraError(
                 f"point {self.y_points[i]} lies under {counts[i]} maximal MV points"
             )
-        self.m = np.full(npts, -1, dtype=np.int64)
-        self.m[self.in_y] = np.array(self.z_points, dtype=np.int64)[above.nonzero()[1]]
+        self.m = np.full(npts, -1, dtype=TABLE_DTYPE)
+        self.m[self.in_y] = np.array(self.z_points, dtype=TABLE_DTYPE)[above.nonzero()[1]]
 
     def _top_members(self, rows):
         """Per boolean row, the member with the most elements below it."""
@@ -270,7 +277,7 @@ def w_relation(space):
 def w_quotient(space):
     """The W classes, read off as the fibers of m.k, each with its maximal
     point; verify's zigzag-quotient-lawful checks that W is that kernel."""
-    classes = _canonical(space.mk == np.unique(space.mk)[:, None])
+    classes = _level_sets(space.mk)
     inz = classes & space.in_z
     if (inz.sum(axis=1) != 1).any():
         raise AlgebraError("a zig-zag class misses a unique maximal point")

@@ -24,8 +24,8 @@ from .errors import CapExceeded, Error
 from .idealarith import oplus_bar, sum_table
 from .lattice import (
     _bool_mm,
-    _canonical,
     _distinct_rows,
+    _level_sets,
     duality_roundtrip,
     transitive_closure,
 )
@@ -171,7 +171,8 @@ def _check_plus_idempotents(ctx):
     # tabulating all sums with I_x)
     alg, member = s.algebra, s.member
     downset = ~(_bool_mm(member, alg.leq.T) & ~member).any(axis=1)
-    closed = np.array([row[alg.oplus[np.ix_(row, row)]].all() for row in member])
+    oplus = alg.oplus.astype(np.intp)  # a gather by int16 indices is slower
+    closed = np.array([row[oplus[np.ix_(row, row)]].all() for row in member])
     mv = member[:, alg.zero] & downset & closed
     if not ((below == equal) & (equal == mv) & (mv == s.in_y)).all():
         _fail("idempotent characterizations of the MV points disagree")
@@ -183,6 +184,7 @@ def _check_plus_continuity(ctx):
     member = s.member
     dom = s.plus >= 0
     safe = np.where(dom, s.plus, 0)
+    oplus = alg.oplus.astype(np.intp)  # a gather by int16 indices is slower
     # Both sides are lattice ideals in a: the left because I_{x+y} is one,
     # the right because ideals are closed under joins and oplus is monotone.
     # Every a is the join of the join-irreducibles below it, so the identity
@@ -190,7 +192,7 @@ def _check_plus_continuity(ctx):
     for a in sorted({alg.zero, *s.lattice.join_irreducibles}):
         lhs = dom & member[safe, a]
         # some b in I_x and c in I_y with a <= b oplus c
-        cond = alg.leq[a][alg.oplus]
+        cond = alg.leq[a][oplus]
         rhs = dom & _bool_mm(member, _bool_mm(cond, member.T))
         if not (lhs == rhs).all():
             x, y = np.argwhere(lhs != rhs)[0]
@@ -439,7 +441,7 @@ def _check_eta_maximal(ctx):
 
 def _check_maximal_fibers(ctx):
     s = ctx.space
-    fibers = _canonical(s.mk == np.unique(s.mk)[:, None])
+    fibers = _level_sets(s.mk)
     if not np.array_equal(fibers, s.order.order_components()):
         _fail("m.k fibers differ from the order components")
 

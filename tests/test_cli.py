@@ -206,6 +206,17 @@ PINNED_SPECTRA = {
         _relabelled_l2xl3_tables(),
         "d39f809f5d2c8f909b380d06eb205b612390a1e70934121a99b8d1751791a878",
     ),
+    # long lists: 101 points with up to 100 members each
+    "L100": (
+        '{"kind":"lukasiewicz","n":100}',
+        "a50017e67e5ded8fb98ba9a43a0adf2fcb1a3ef1d88a4c40b9d2a23045ce2b27",
+    ),
+    # the carrier at the cap, where a wrap of an index near 4096 would show
+    "L63xL63": (
+        '{"kind":"product","factors":[{"kind":"lukasiewicz","n":63},'
+        '{"kind":"lukasiewicz","n":63}]}',
+        "13fd0a7a6ff38ab065dd1aeb6f852f2e62821dfad3745b1672e7ab12d636875d",
+    ),
 }
 
 
@@ -342,7 +353,7 @@ def test_dot_rejected_where_meaningless(capsys):
 
 
 def test_huge_chain_rejected_before_tables(capsys):
-    # (n + 1)^2 int64 tables of L100000 would take about 75 GiB
+    # (n + 1)^2 int16 tables of L100000 would take about 19 GiB
     huge = '{"kind":"lukasiewicz","n":100000}'
     for command in ("spectrum", "check"):
         start = time.perf_counter()
@@ -356,7 +367,7 @@ def test_huge_chain_rejected_before_tables(capsys):
 def test_huge_tables_rejected_before_rows(capsys):
     # a 4,097-entry neg is over the cap; the oplus value is never walked (a
     # string would otherwise be a malformed-rows error) and no n x n table,
-    # 134 MB as int64, is built
+    # 34 MB as int16, is built
     huge = json.dumps({"kind": "tables", "neg": list(range(4097))[::-1],
                        "oplus": "never read"})
     for command in ("spectrum", "check", "verify"):
@@ -405,6 +416,14 @@ def test_malformed_json_is_usage_error(capsys, raw):
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert err.startswith("mvspectra: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [3, 40000, 2**70], ids=str)
+def test_out_of_range_table_entry_is_named_whatever_its_size(capsys, entry):
+    raw = _l2_tables(oplus=[[0, 1, 2], [1, 2, 2], [2, 2, entry]])
+    for command in ("check", "spectrum", "verify"):
+        assert run([command, "--input", raw]) == (2, "")
+        assert capsys.readouterr().err == "mvspectra: table entries out of carrier range\n"
 
 
 def test_inline_array_is_parsed_not_opened(capsys):

@@ -96,6 +96,21 @@ def test_sum_table_fold_matches_fixpoint_oracle(family):
         assert (got == [_closure(alg.leq, alg.join, row) for row in rows]).all(), name
 
 
+def test_sum_table_at_the_cap_matches_an_int64_reference():
+    # the flat keys b * n + sum reach n * n = 2**24 on L4095, far past the
+    # table dtype; the reference scatters each member's sums in int64
+    alg = lukasiewicz_chain(4095)
+    n = alg.n
+    b = np.arange(n, dtype=np.int64)
+    for members in ([0], [1, 2047], [n - 1], range(0, n, 97)):
+        row = np.zeros(n, dtype=bool)
+        row[list(members)] = True
+        want = np.zeros((n, n), dtype=bool)
+        for a in members:
+            want[b, np.minimum(a + b, n - 1)] = True
+        assert np.array_equal(sum_table(alg, row), want), members
+
+
 def test_chain_sums_are_principal_at_truncated_sum():
     alg = lukasiewicz_chain(6)
     ideals = principal_ideals(alg)

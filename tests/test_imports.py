@@ -63,11 +63,14 @@ def loaded_modules(body):
 )
 def test_each_command_loads_only_its_layers(argv, code, expected):
     # numpy.random is a lazy import that costs a process tens of
-    # milliseconds; verify draws its instances from the stdlib random
+    # milliseconds; verify draws its instances from the stdlib random.
+    # numpy.ma costs about 10 ms; a plain np.unique loads it, so the
+    # distinct values of an index array come from np.bincount
     body = (
         "import io\nfrom mvspectra.cli import main\n"
         f"assert main({argv!r}, out=io.StringIO()) == {code}\n"
-        "assert 'numpy.random' not in sys.modules, 'loaded numpy.random'"
+        "assert 'numpy.random' not in sys.modules, 'loaded numpy.random'\n"
+        "assert 'numpy.ma' not in sys.modules, 'loaded numpy.ma'"
     )
     assert loaded_modules(body) == expected
 
@@ -113,6 +116,14 @@ def test_carrier_layers_test_no_types():
             if name != "verify" and isinstance(node, ast.ImportFrom):
                 imported = {node.module} | {alias.name for alias in node.names}
                 assert "chang" not in imported, f"{name}.py line {node.lineno}"
+
+
+def test_table_layers_name_no_int64():
+    # every carrier and dual-space index table is mv.TABLE_DTYPE; a key
+    # that outgrows it is computed in np.intp, never spelled np.int64
+    for name in ("mv", "lattice", "spectrum"):
+        with open(os.path.join(SRC, "mvspectra", f"{name}.py"), encoding="utf-8") as fh:
+            assert "np.int64" not in fh.read(), name
 
 
 def test_reading_an_algebra_loads_only_the_algebra_layer():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from functools import reduce
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from mvspectra import mv
 from mvspectra.errors import AlgebraError, CapExceeded
-from mvspectra.lattice import FiniteDistLattice
+from mvspectra.lattice import FiniteDistLattice, lattice_from_downsets
 from mvspectra.mv import (
     MvAlgebra,
     _first_violation,
@@ -611,3 +612,85 @@ def test_reduct_is_built_once_and_shares_the_tables():
     assert alg.lattice_reduct() is lat
     for name in ("leq", "join", "meet"):
         assert np.shares_memory(getattr(lat, name), getattr(alg, name)), name
+
+
+# ---------------------------------------------------------------- table dtype
+
+
+def test_every_table_is_table_dtype():
+    # the reduct shares these tables: test_reduct_is_built_once_and_shares_the_tables
+    assert mv.PRODUCT_CAP <= np.iinfo(mv.TABLE_DTYPE).max
+    alg = product(lukasiewicz_chain(2), lukasiewicz_chain(3))
+    for name in ("neg", "oplus", "ominus", "join", "meet"):
+        assert getattr(alg, name).dtype == mv.TABLE_DTYPE, name
+    space = MvDualSpace(alg)
+    for name in ("plus", "involution", "k", "m", "generators", "_point_of", "_down_count"):
+        assert getattr(space, name).dtype == mv.TABLE_DTYPE, name
+    downsets = lattice_from_downsets(space.order)
+    assert downsets.join.dtype == downsets.meet.dtype == mv.TABLE_DTYPE
+    tables = MvAlgebra(np.array([1, 0], dtype=np.uint64), [[0, 1], [1, 1]])
+    assert tables.neg.dtype == tables.oplus.dtype == mv.TABLE_DTYPE
+
+
+@pytest.mark.parametrize("entry", [2, -1, 40000, -40000, 2**70], ids=str)
+def test_an_out_of_range_entry_is_named_whatever_its_size(entry):
+    oplus = [[0, 1], [1, entry]]
+    with pytest.raises(AlgebraError, match="^table entries out of carrier range$"):
+        MvAlgebra([1, 0], oplus)
+    with pytest.raises(AlgebraError, match="^table entries out of carrier range$"):
+        algebra_from_json({"kind": "tables", "neg": [1, 0], "oplus": oplus})
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32, np.uint64, np.float64])
+def test_an_out_of_range_array_entry_is_not_wrapped(dtype):
+    # 65536 would wrap to 0 in int16, inside the carrier
+    oplus = np.array([[0, 1], [1, 65536]], dtype=dtype)
+    with pytest.raises(AlgebraError, match="^table entries out of carrier range$"):
+        MvAlgebra(np.array([1, 0], dtype=dtype), oplus)
+
+
+def test_ragged_tables_are_named_without_a_dtype():
+    with pytest.raises(AlgebraError, match="^tables must be rectangular integer arrays$"):
+        MvAlgebra([1, 0], [[0, 1], [1]])
+
+
+def test_carriers_over_the_cap_are_refused():
+    for n in (mv.PRODUCT_CAP + 1, 40000):  # 40000 is past TABLE_DTYPE too
+        with pytest.raises(CapExceeded, match=f"^carrier {n} exceeds cap 4096$"):
+            MvAlgebra(list(range(n))[::-1], [[0]])
+    with pytest.raises(CapExceeded, match="chain carrier 4097 exceeds cap 4096"):
+        lukasiewicz_chain(mv.PRODUCT_CAP)
+
+
+def int64_chain_product(shape, rows):
+    """neg and the oplus rows of L_{n1} x ... x L_{nk} in int64, from the
+    mixed-radix digits of each element; independent of mv's constructions."""
+    sizes = [m + 1 for m in shape]
+    digits = np.unravel_index(np.arange(math.prod(sizes), dtype=np.int64), sizes)
+    neg = np.ravel_multi_index([m - d for m, d in zip(shape, digits)], sizes)
+    oplus = np.ravel_multi_index(
+        [np.minimum(d[rows, None] + d[None, :], m) for m, d in zip(shape, digits)], sizes
+    )
+    return neg, oplus
+
+
+@pytest.mark.parametrize("shape", [(63, 63), (4095,)], ids=["L63xL63", "L4095"])
+def test_tables_at_the_cap_match_int64_and_pass_the_certificate(shape):
+    # every index of a carrier at the cap, in TABLE_DTYPE, against an int64
+    # reference a block of rows at a time; a wrap near 4096 would show here
+    alg = reduce(product, map(lukasiewicz_chain, shape))
+    n = alg.n
+    assert n == mv.PRODUCT_CAP
+    assert np.array_equal(alg.neg, int64_chain_product(shape, slice(0, 0))[0])
+    for lo in range(0, n, 512):
+        rows = slice(lo, lo + 512)
+        assert np.array_equal(alg.oplus[rows], int64_chain_product(shape, rows)[1])
+    assert mv._chain_certificate(alg)
+    # a symmetric edit of one sum, high in every coordinate, is refused
+    e = np.ravel_multi_index([m // 3 for m in shape], [m + 1 for m in shape])
+    oplus = alg.oplus.copy()
+    oplus[e, e] -= 1
+    assert not mv._chain_certificate(MvAlgebra(alg.neg, oplus, validate=False))
+    neg = alg.neg.copy()
+    neg[[e, n - 1 - e]] = neg[[n - 1 - e, e]]
+    assert not mv._chain_certificate(MvAlgebra(neg, alg.oplus, validate=False))
