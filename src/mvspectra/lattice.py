@@ -110,6 +110,7 @@ class FinitePoset:
                 raise CapExceeded(f"more than {limit} downsets")
         return rows
 
+    @cached_property
     def order_components(self):
         """Connected components of the comparability graph, one boolean row
         each, in canonical order."""

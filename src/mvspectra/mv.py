@@ -47,7 +47,8 @@ class MvAlgebra:
     """Carrier 0..n-1 with negation and truncated-addition tables.
 
     labels name elements for display and JSON; they carry no structure.
-    The tables are stored as TABLE_DTYPE.  Construction always rejects
+    The tables are stored as TABLE_DTYPE; an array already in that dtype
+    is taken as it is, shared, not copied.  Construction always rejects
     malformed tables, the empty or trivial carrier and one over PRODUCT_CAP;
     validate=False skips only the axiom checks, so negative tests can build
     deliberately broken tables.  finite, dual_space() and
@@ -155,7 +156,7 @@ def _table(values):
         info = np.iinfo(TABLE_DTYPE)
         if values.size and (values.min() < info.min or values.max() > info.max):
             raise OverflowError
-    return np.array(values, dtype=TABLE_DTYPE)
+    return np.asarray(values, dtype=TABLE_DTYPE)
 
 
 def check_axioms(alg):
@@ -310,11 +311,12 @@ def product(a, b, cap=PRODUCT_CAP):
     if n > cap:
         raise CapExceeded(f"product carrier {n} exceeds cap {cap}")
     i, j = np.divmod(np.arange(n), b.n)
-    oplus = a.oplus[np.ix_(i, i)] * b.n
-    oplus += b.oplus[np.ix_(j, j)]
+    # oplus[(i, j), (k, l)] = a.oplus[i, k] * b.n + b.oplus[j, l], in one table
+    oplus = np.empty((a.n, b.n, a.n, b.n), dtype=TABLE_DTYPE)
+    np.add((a.oplus * b.n)[:, None, :, None], b.oplus[None, :, None, :], out=oplus)
     labels = tuple(f"({x},{y})" for x in a.labels for y in b.labels)
     return MvAlgebra(
-        a.neg[i] * b.n + b.neg[j], oplus, zero=a.zero * b.n + b.zero,
+        a.neg[i] * b.n + b.neg[j], oplus.reshape(n, n), zero=a.zero * b.n + b.zero,
         labels=labels, validate=False,
     )
 

@@ -213,17 +213,20 @@ def build_dual_space(alg):
 
 def interpolate(space, x, xp):
     """For x <= x', the point x + k(x'), squeezed between them with a larger
-    k value than both ends; all four conditions are asserted."""
-    leq = space.order.leq
-    if not leq[x, xp]:
-        raise AlgebraError("interpolation needs comparable points x <= x'")
-    w = int(space.plus[x, space.k[xp]])
-    if w < 0:
-        raise AlgebraError("interpolation witness sum is undefined")
-    k = space.k
-    if not (leq[x, w] and leq[w, xp] and leq[k[x], k[w]] and leq[k[xp], k[w]]):
+    k value than both ends; all four conditions are asserted.  Index arrays
+    of pairs give an array of points, and the first pair that fails a
+    condition names it."""
+    leq, k = space.order.leq, space.k
+    w = space.plus[x, k[xp]]
+    ok = leq[x, xp] & (w >= 0) & leq[x, w] & leq[w, xp] & leq[k[x], k[w]] & leq[k[xp], k[w]]
+    if not ok.all():
+        first = np.ravel(~ok).argmax()
+        if not np.ravel(leq[x, xp])[first]:
+            raise AlgebraError("interpolation needs comparable points x <= x'")
+        if np.ravel(w)[first] < 0:
+            raise AlgebraError("interpolation witness sum is undefined")
         raise AlgebraError("interpolation witness violates its bounds")
-    return w
+    return int(w) if np.ndim(w) == 0 else w
 
 
 # -- k cross-check routes ---------------------------------------------------
@@ -292,7 +295,7 @@ def lattice_only_component_count(lat):
 
     No MV data enters: points and order come from the lattice alone.
     """
-    return len(dual_order(enumerate_prime_ideals(lat)).order_components())
+    return len(dual_order(enumerate_prime_ideals(lat)).order_components)
 
 
 VERDICT_HOMEOMORPHIC = "homeomorphic"

@@ -10,6 +10,21 @@ Suites: all, plus, k, kaplansky, sheaf-prime, sheaf-maximal, crt, keyed
 in SUITES by alg.finite.  The symbolic chain runs its own axiom scan and
 bounded or symbolic variants, and skips the section-enumeration suites,
 which need a finite carrier.
+
+Routes of a finite space: quantity | build route | oracle rows,
+which recompute it | rows of the paper's laws that also constrain it.
+k has three routes, its build and two oracles: one more than the one
+fast route and one oracle that each quantity should have.
+  involution | negated complement filters | involution-laws | plus-domain-description
+  + | g_x oplus g_y, undefined at one | plus-matches-ideal-sums | the other plus-* rows
+  Y | idempotent generators | plus-idempotents-are-mv-points | k-fixes-*, root-system
+  Z | mv.maximal_mv_ideals | lattice-only-reconstruction (its size) | zigzag-quotient-lawful
+  k | largest idempotent g_x absorbs | k-three-routes-agree | other k-* rows, interpolation-witness
+  m | the Z point above each Y point | germinal-ideals-carve-fibers (m.k) | mk-*, maximal-fibers-*
+  W | w_relation; classes as m.k fibers | zigzag-classes-* | zigzag-quotient-lawful
+  stalks | sheaf.build_etale | none here; the tests' quotients | prime-stalks-*, eta-*
+  sections | sheaf.global_sections | patch-roundtrip | eta-*, patch-rejects-incompatible
+  CRT solutions | sheaf.crt_solve | crt-random-*, crt-term-* | crt-rejects-*, tower-sandwich
 """
 
 from __future__ import annotations
@@ -94,30 +109,45 @@ def _fail(message):
     raise Error(message)
 
 
+def _fail_at(message, *args):
+    """Fail at the first True entry of a mask, in the order of a scan over
+    its axes in turn: _fail_at(message, bad, *axes).  The message is
+    formatted with one name per axis, read off that axis's list, or the
+    raw index when no lists are given; a name may be a row of values,
+    whose fields the message reads as {0[1]}.  When one scan can fail in
+    more than one way, _fail_at(cases, *axes) takes a list of (mask,
+    message) pairs in priority order: the scan stops at the first entry
+    where any mask holds, and the first mask holding there gives the
+    message."""
+    cases = message if isinstance(message, list) else [(args[0], message)]
+    axes = args if isinstance(message, list) else args[1:]
+    bad = np.logical_or.reduce([mask for mask, _ in cases])
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        text = next(text for mask, text in cases if mask[at])
+        _fail(text.format(*(names[i] for names, i in zip(axes, at)) if axes else at))
+
+
 # -- finite checks: the partial addition --------------------------------------
 
 
 def _check_involution_laws(ctx):
     s = ctx.space
     inv, leq = s.involution, s.order.leq
-    n = len(s.member)
-    if not (inv[inv] == np.arange(n)).all():
+    points = np.arange(len(s.member))
+    if not (inv[inv] == points).all():
         _fail("involution is not an involution")
     if not (leq == leq[np.ix_(inv, inv)].T).all():
         _fail("involution does not reverse the order")
-    for x in range(n):
-        if not (leq[x, inv[x]] or leq[inv[x], x]):
-            _fail(f"point {x} incomparable with its involute")
-        addable = np.flatnonzero(s.plus[x] >= 0)
-        if not leq[addable, inv[x]].all() or s.plus[x, inv[x]] < 0:
-            _fail(f"involute of {x} is not the largest addable point")
+    # i(x) is addable to x, and every point addable to x lies below i(x)
+    largest = (s.plus[points, inv] >= 0) & ~((s.plus >= 0) & ~leq[:, inv].T).any(axis=1)
+    _fail_at([(~(leq[points, inv] | leq[inv, points]), "point {} incomparable with its involute"),
+              (~largest, "involute of {} is not the largest addable point")])
 
 
 def _check_plus_commutative(ctx):
     s = ctx.space
-    if not (s.plus == s.plus.T).all():
-        x, y = np.argwhere(s.plus != s.plus.T)[0]
-        _fail(f"+ not commutative at ({x}, {y})")
+    _fail_at("+ not commutative at ({}, {})", s.plus != s.plus.T)
 
 
 def _check_plus_associative(ctx):
@@ -132,13 +162,8 @@ def _check_plus_associative(ctx):
         left = plus[xy]  # (x + y) + z, read where x + y is defined
         right = plus[x, safe]  # x + (y + z), read where y + z is defined
         live = dom[x][:, None] & (left >= 0)
-        gap = live & ~(dom & (right >= 0))
-        bad = gap | (live & (left != right))
-        if bad.any():
-            y, z = np.argwhere(bad)[0]
-            if gap[y, z]:
-                _fail(f"associativity domain gap at ({x}, {y}, {z})")
-            _fail(f"associativity fails at ({x}, {y}, {z})")
+        _fail_at([(live & ~(dom & (right >= 0)), f"associativity domain gap at ({x}, {{}}, {{}})"),
+                  (live & (left != right), f"associativity fails at ({x}, {{}}, {{}})")])
 
 
 def _check_plus_translation(ctx):
@@ -150,13 +175,9 @@ def _check_plus_translation(ctx):
     # (y2, y1) order is the one a scan of x, y2, y1 in turn would report
     for x in range(len(s.member)):
         below = dom[x][:, None] & leq.T
-        gap = below & ~dom[x][None, :]
-        bad = gap | (below & ~leq[safe[x][None, :], safe[x][:, None]])
-        if bad.any():
-            y2, y1 = np.argwhere(bad)[0]
-            if gap[y2, y1]:
-                _fail(f"translation domain gap at ({x}, {y1} <= {y2})")
-            _fail(f"translation monotonicity fails at ({x}, {y1}, {y2})")
+        _fail_at([(below & ~dom[x][None, :], f"translation domain gap at ({x}, {{1}} <= {{0}})"),
+                  (below & ~leq[safe[x][None, :], safe[x][:, None]],
+                   f"translation monotonicity fails at ({x}, {{1}}, {{0}})")])
 
 
 def _check_plus_idempotents(ctx):
@@ -194,9 +215,7 @@ def _check_plus_continuity(ctx):
         # some b in I_x and c in I_y with a <= b oplus c
         cond = alg.leq[a][oplus]
         rhs = dom & _bool_mm(member, _bool_mm(cond, member.T))
-        if not (lhs == rhs).all():
-            x, y = np.argwhere(lhs != rhs)[0]
-            _fail(f"+ continuity identity fails for element {a} at ({x}, {y})")
+        _fail_at(f"+ continuity identity fails for element {a} at ({{}}, {{}})", lhs != rhs)
 
 
 def _check_plus_domain(ctx):
@@ -208,10 +227,8 @@ def _check_plus_domain(ctx):
     if not (dom == by_inv).all():
         _fail("domain of + differs from the involution description")
     # (x2, y2) in the domain with some x1 <= x2, y1 <= y2 outside it
-    bad = dom & _bool_mm(_bool_mm(leq.T, ~dom), leq)
-    if bad.any():
-        x2, y2 = np.argwhere(bad)[0]
-        _fail(f"domain of + is not downward closed under ({x2}, {y2})")
+    _fail_at("domain of + is not downward closed under ({}, {})",
+             dom & _bool_mm(_bool_mm(leq.T, ~dom), leq))
 
 
 def _generated_ideals(alg, hits):
@@ -238,16 +255,15 @@ def _check_plus_matches_ideal_sums(ctx):
     for x in range(npts):
         ys = np.arange(x, npts)
         direct = _generated_ideals(alg, _bool_mm(member[ys], sum_table(alg, member[x])))
-        entries = np.stack([plus[x, ys], plus[ys, x]], axis=1)  # (x, y), (y, x)
+        xs = np.full_like(ys, x)
+        pairs = np.stack([xs, ys, ys, xs], axis=1).reshape(-1, 2, 2)  # (x, y), (y, x)
+        entries = plus[pairs[..., 0], pairs[..., 1]]
         undefined = entries < 0
         improper = undefined & ~direct[:, None, alg.one]
         differs = ~undefined & (member[entries] != direct[:, None]).any(axis=2)
-        if (improper | differs).any():
-            i, d = np.argwhere(improper | differs)[0]
-            a, b = (x, ys[i]) if d == 0 else (ys[i], x)
-            if improper[i, d]:
-                _fail(f"({a}, {b}) undefined but the ideal sum is proper")
-            _fail(f"table sum at ({a}, {b}) differs from the ideal sum")
+        _fail_at([(improper.ravel(), "({0[0]}, {0[1]}) undefined but the ideal sum is proper"),
+                  (differs.ravel(), "table sum at ({0[0]}, {0[1]}) differs from the ideal sum")],
+                 pairs.reshape(-1, 2))
 
 
 # -- finite checks: k, fibers, interpolation ----------------------------------
@@ -265,28 +281,24 @@ def _check_k_routes(ctx):
 
 def _check_k_fixes_y(ctx):
     s = ctx.space
-    mismatch = (s.k == np.arange(len(s.member))) != s.in_y
-    bad = mismatch | ~s.in_y[s.k]
-    if bad.any():
-        x = int(np.argmax(bad))
-        _fail(f"k fixed-point mismatch at {x}" if mismatch[x] else f"k({x}) is not an MV point")
+    _fail_at([((s.k == np.arange(len(s.member))) != s.in_y, "k fixed-point mismatch at {}"),
+              (~s.in_y[s.k], "k({}) is not an MV point")])
 
 
 def _check_k_fibers(ctx):
     s = ctx.space
     leq = s.order.leq
-    comparable = leq | leq.T
-    seen = np.zeros(len(s.member), dtype=bool)
-    for y in s.y_points:
-        fib = s.fiber(y)
-        # second description: the points x with x + y defined and below x
-        col = s.plus[:, y]
-        if (fib != ((col >= 0) & leq[col, np.arange(len(col))])).any():
-            _fail(f"fiber over {y} differs from its description by sums")
-        if not comparable[np.ix_(fib, fib)].all():
-            _fail(f"fiber over {y} is not a chain")
-        seen |= fib
-    if not seen.all():
+    ys = np.array(s.y_points, dtype=np.intp)
+    fibers = leq[ys][:, s.k]  # row i: the fiber of k over y_i, as s.fiber gives it
+    # second description: the points x with x + y defined and below x
+    sums = s.plus[:, ys].T
+    by_sums = (sums >= 0) & leq[sums, np.arange(len(s.member))]
+    # a fiber is a chain when no two of its points are incomparable
+    apart = _bool_mm(fibers, ~(leq | leq.T)) & fibers
+    _fail_at([((fibers != by_sums).any(axis=1),
+               "fiber over {} differs from its description by sums"),
+              (apart.any(axis=1), "fiber over {} is not a chain")], ys)
+    if not fibers.any(axis=0).all():
         _fail("fibers of k miss a point")
 
 
@@ -298,25 +310,17 @@ def _check_k_continuity(ctx):
         lhs = member[s.k, a]
         bad = member[:, alg.ominus[:, a]] & ~member
         rhs = ~bad.any(axis=1)
-        if not (lhs == rhs).all():
-            x = int(np.flatnonzero(lhs != rhs)[0])
-            _fail(f"k continuity identity fails for element {a} at point {x}")
+        _fail_at(f"k continuity identity fails for element {a} at point {{}}", lhs != rhs)
 
 
 def _check_interpolation(ctx):
     s = ctx.space
-    leq = s.order.leq
-    for x, xp in np.argwhere(leq).tolist():
-        interpolate(s, x, xp)
+    interpolate(s, *np.nonzero(s.order.leq))
 
 
 def _check_mk_on_comparables(ctx):
     s = ctx.space
-    leq = s.order.leq
-    mk = s.mk
-    for x, xp in np.argwhere(leq).tolist():
-        if mk[x] != mk[xp]:
-            _fail(f"m.k differs along {x} <= {xp}")
+    _fail_at("m.k differs along {} <= {}", s.order.leq & (s.mk[:, None] != s.mk[None, :]))
 
 
 def _check_root_system(ctx):
@@ -324,8 +328,7 @@ def _check_root_system(ctx):
     ys = s.y_points
     up = s.order.leq[np.ix_(ys, ys)]  # row i: the MV points above y_i
     clash = (up[:, :, None] & up[:, None, :] & ~(up | up.T)).any(axis=(1, 2))
-    if clash.any():
-        _fail(f"MV points above {ys[int(np.argmax(clash))]} are not a chain")
+    _fail_at("MV points above {} are not a chain", clash, ys)
 
 
 # -- finite checks: the quotient theorem --------------------------------------
@@ -355,7 +358,7 @@ def _check_w_components(ctx):
     s = ctx.space
     # the classes of the zig-zag relation itself, one per distinct row of W
     classes = _distinct_rows(w_relation(s))
-    if not np.array_equal(classes, s.order.order_components()):
+    if not np.array_equal(classes, s.order.order_components):
         _fail("zig-zag classes differ from the order components")
 
 
@@ -442,7 +445,7 @@ def _check_eta_maximal(ctx):
 def _check_maximal_fibers(ctx):
     s = ctx.space
     fibers = _level_sets(s.mk)
-    if not np.array_equal(fibers, s.order.order_components()):
+    if not np.array_equal(fibers, s.order.order_components):
         _fail("m.k fibers differ from the order components")
 
 
@@ -471,11 +474,8 @@ def _check_crt_random(ctx):
     rng = random.Random(ctx.seed)
     planted, targets = _planted_instances(alg, rng, maximal, ctx.crt_count)
     got = crt_solve(alg, maximal, targets)
-    wrong = np.flatnonzero(got != planted)
-    if wrong.size:
-        trial = int(wrong[0])
-        _fail(f"trial {trial}: solved {got[trial]}, planted {planted[trial]}")
-    return None
+    _fail_at("trial {0[0]}: solved {0[1]}, planted {0[2]}", got != planted,
+             np.stack([np.arange(len(got)), got, planted], axis=1))
 
 
 def _check_crt_negative(ctx):
@@ -555,12 +555,6 @@ def _check_duality(ctx):
 def _in_y(space, f, n):
     """Whether each window point (f, n) is one of the space's MV points."""
     return np.any([(f == y.family) & (n == y.param) for y in space.y_points], axis=0)
-
-
-def _fail_at(message, bad, *axes):
-    """Fail at the first True entry of bad, named through one list per axis."""
-    if bad.any():
-        _fail(message.format(*(names[i] for names, i in zip(axes, np.argwhere(bad)[0]))))
 
 
 def _chang_plus(ctx):

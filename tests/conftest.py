@@ -316,3 +316,55 @@ def plus_domain_reference(plus, leq, involution):
             if not dom[np.ix_(leq[:, x2], leq[:, y2])].all():
                 return f"domain of + is not downward closed under ({x2}, {y2})"
     return None
+
+
+def involution_laws_reference(space):
+    inv, leq = space.involution, space.order.leq
+    n = len(space.member)
+    if not (inv[inv] == np.arange(n)).all():
+        return "involution is not an involution"
+    if not (leq == leq[np.ix_(inv, inv)].T).all():
+        return "involution does not reverse the order"
+    for x in range(n):
+        if not (leq[x, inv[x]] or leq[inv[x], x]):
+            return f"point {x} incomparable with its involute"
+        addable = np.flatnonzero(space.plus[x] >= 0)
+        if not leq[addable, inv[x]].all() or space.plus[x, inv[x]] < 0:
+            return f"involute of {x} is not the largest addable point"
+    return None
+
+
+def k_fibers_reference(space):
+    leq = space.order.leq
+    comparable = leq | leq.T
+    seen = np.zeros(len(space.member), dtype=bool)
+    for y in space.y_points:
+        fib = space.fiber(y)
+        col = space.plus[:, y]
+        if (fib != ((col >= 0) & leq[col, np.arange(len(col))])).any():
+            return f"fiber over {y} differs from its description by sums"
+        if not comparable[np.ix_(fib, fib)].all():
+            return f"fiber over {y} is not a chain"
+        seen |= fib
+    if not seen.all():
+        return "fibers of k miss a point"
+    return None
+
+
+def interpolation_reference(space):
+    """The scalar form of spectrum.interpolate on every comparable pair."""
+    leq, k = space.order.leq, space.k
+    for x, xp in np.argwhere(leq).tolist():
+        w = int(space.plus[x, k[xp]])
+        if w < 0:
+            return "interpolation witness sum is undefined"
+        if not (leq[x, w] and leq[w, xp] and leq[k[x], k[w]] and leq[k[xp], k[w]]):
+            return "interpolation witness violates its bounds"
+    return None
+
+
+def mk_constant_reference(space):
+    for x, xp in np.argwhere(space.order.leq).tolist():
+        if space.mk[x] != space.mk[xp]:
+            return f"m.k differs along {x} <= {xp}"
+    return None

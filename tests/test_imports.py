@@ -118,6 +118,19 @@ def test_carrier_layers_test_no_types():
                 assert "chang" not in imported, f"{name}.py line {node.lineno}"
 
 
+def test_verify_looks_up_first_failures_in_one_helper():
+    # every row of verify names its first failure through _fail_at, the
+    # one place that turns a failure mask into the index it names
+    with open(os.path.join(SRC, "mvspectra", "verify.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    helper = [n for n in tree.body if getattr(n, "name", None) == "_fail_at"]
+    assert len(helper) == 1
+    inside = {id(n) for n in ast.walk(helper[0])}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "argwhere":
+            assert id(node) in inside, f"verify.py line {node.lineno}"
+
+
 def test_table_layers_name_no_int64():
     # every carrier and dual-space index table is mv.TABLE_DTYPE; a key
     # that outgrows it is computed in np.intp, never spelled np.int64

@@ -121,7 +121,8 @@ def test_downsets_are_downclosed_and_distinct():
 
 def test_order_components():
     p = poset_from_pairs(5, [(0, 1), (2, 3)])
-    assert p.order_components().tolist() == [
+    assert p.order_components is p.order_components  # computed once per poset
+    assert p.order_components.tolist() == [
         subset(5, 0, 1).tolist(),
         subset(5, 2, 3).tolist(),
         subset(5, 4).tolist(),
@@ -143,7 +144,7 @@ def _disjoint_chains(*lengths):
 def test_downsets_and_components_match_the_int_references(poset):
     assert np.array_equal(poset.downsets(), mask_rows(downsets_reference(poset), poset.n))
     comps = [subset(poset.n, *block) for block in order_components_reference(poset)]
-    assert np.array_equal(poset.order_components(), np.array(comps))
+    assert np.array_equal(poset.order_components, np.array(comps))
 
 
 # -- lattices ---------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -630,6 +631,21 @@ def test_every_table_is_table_dtype():
     assert downsets.join.dtype == downsets.meet.dtype == mv.TABLE_DTYPE
     tables = MvAlgebra(np.array([1, 0], dtype=np.uint64), [[0, 1], [1, 1]])
     assert tables.neg.dtype == tables.oplus.dtype == mv.TABLE_DTYPE
+
+
+def test_product_holds_one_table_at_its_peak():
+    # oplus is built in place in TABLE_DTYPE, and MvAlgebra takes an array
+    # already in that dtype as it is, sharing it, where a copy would double
+    # the peak
+    a = lukasiewicz_chain(63)
+    tracemalloc.start()
+    try:
+        alg = product(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * alg.oplus.nbytes
+    assert MvAlgebra(alg.neg, alg.oplus, validate=False).oplus is alg.oplus
 
 
 @pytest.mark.parametrize("entry", [2, -1, 40000, -40000, 2**70], ids=str)

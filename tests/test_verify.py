@@ -15,6 +15,10 @@ from mvspectra.mv import MvAlgebra, lukasiewicz_chain, product
 from mvspectra.verify import SUITE_NAMES, run_suite
 
 from conftest import (
+    interpolation_reference,
+    involution_laws_reference,
+    k_fibers_reference,
+    mk_constant_reference,
     plus_associative_reference,
     plus_domain_reference,
     plus_translation_reference,
@@ -158,17 +162,70 @@ def _redirect_a_sum(s):
     s.plus[3, 4] = s.plus[4, 3] = 2
 
 
+def _split_a_chain(s):
+    # 0 < 1 = i(0) no longer holds, and the involution still reverses the order
+    leq = s.order.leq.copy()
+    leq[0, 1] = False
+    s.order = FinitePoset(leq)
+
+
+def _add_a_point_to_itself(s):
+    # 1 + 1 becomes defined, though 1 is not below its involute 0
+    s.plus[1, 1] = 1
+
+
+def _undefine_zero_plus_zero(s):
+    # k(0) = 0, so the interpolant of 0 <= 0 is 0 + 0
+    s.plus[0, 0] = -1
+
+
+def _lower_one_plus_zero(s):
+    # the interpolant of 1 <= 1, 1 + k(1) = 1 + 0, falls below 1
+    s.plus[1, 0] = 0
+
+
+def _mk_splits_a_chain(s):
+    s.mk = np.array([0, 4, 4, 4, 4])
+
+
+def _undefine_one_plus_zero(s):
+    # 1 lies in the fiber over 0, but 1 + 0 is no longer defined
+    s.plus[1, 0] = -1
+
+
+def _branch_above_an_mv_point(s):
+    # 0 lies below the whole chain 4 < 3 < 2, and 1 becomes an MV point
+    # too, so that 1 and 4 are incomparable MV points above 0
+    leq = s.order.leq.copy()
+    leq[0, 2:] = True
+    s.order = FinitePoset(leq)
+    s.y_points = (0, 1, 4)
+
+
 CORRUPTIONS = [
-    ("plus", "involution-laws", _swap_involution, ""),
-    ("plus", "plus-commutative", _drop_plus_entry, ""),
-    ("k", "k-fixes-exactly-mv-points", _k_fixes_non_mv_point, ""),
-    ("plus", "plus-idempotents-are-mv-points", _y_misses_a_point, ""),
-    ("k", "k-fibers-cover-and-chain", _fiber_across_components, "not a chain"),
+    ("plus", "involution-laws", _swap_involution, "involution is not an involution"),
+    ("plus", "plus-commutative", _drop_plus_entry, "+ not commutative at (0, 1)"),
+    ("k", "k-fixes-exactly-mv-points", _k_fixes_non_mv_point, "k fixed-point mismatch at 1"),
+    ("plus", "plus-idempotents-are-mv-points", _y_misses_a_point,
+     "idempotent characterizations of the MV points disagree"),
+    ("k", "k-fibers-cover-and-chain", _fiber_across_components, "fiber over 4 is not a chain"),
     ("sheaf-maximal", "germinal-ideals-carve-fibers", _germ_carves_less_than_fiber,
-     "m.k fiber"),
-    ("plus", "plus-matches-ideal-sums", _redirect_a_sum, "differs from the ideal sum"),
+     "germinal subspace at 0 differs from its m.k fiber"),
+    ("plus", "plus-matches-ideal-sums", _redirect_a_sum,
+     "table sum at (3, 4) differs from the ideal sum"),
     ("plus", "plus-matches-ideal-sums", _undefine_a_sum,
      "(0, 1) undefined but the ideal sum is proper"),
+    ("plus", "involution-laws", _split_a_chain, "point 0 incomparable with its involute"),
+    ("plus", "involution-laws", _add_a_point_to_itself,
+     "involute of 1 is not the largest addable point"),
+    ("k", "interpolation-witness", _undefine_zero_plus_zero,
+     "interpolation witness sum is undefined"),
+    ("k", "interpolation-witness", _lower_one_plus_zero,
+     "interpolation witness violates its bounds"),
+    ("k", "mk-constant-on-comparables", _mk_splits_a_chain, "m.k differs along 0 <= 1"),
+    ("k", "k-fibers-cover-and-chain", _undefine_one_plus_zero,
+     "fiber over 0 differs from its description by sums"),
+    ("k", "root-system", _branch_above_an_mv_point, "MV points above 0 are not a chain"),
 ]
 
 
@@ -184,8 +241,7 @@ def test_corrupted_space_fails_the_owning_row(monkeypatch, suite, row, edit, det
     assert {r.status for r in run_suite(L2xL3, suite)} == {"pass"}
     monkeypatch.setattr(verify, "build_dual_space", corrupted)
     rows = {r.name: r for r in run_suite(L2xL3, suite)}
-    assert rows[row].status == "fail"
-    assert detail in rows[row].detail
+    assert (rows[row].status, rows[row].detail) == ("fail", detail)
 
 
 def test_continuity_row_names_a_join_irreducible(monkeypatch):
@@ -256,29 +312,53 @@ def _row_message(check, space):
 
 
 def _mutated(space, rng, trial):
-    """A copy of space with its plus table broken in one of three ways:
-    a few entries knocked out or redirected; one whole row redrawn at
-    random, so that many triples fail and the scan order decides which is
-    named; or the involution permuted with the domain of + set to its
-    involution description, so that downward closure is what breaks."""
+    """A copy of space broken in one of six ways: a few entries of plus
+    knocked out or redirected; one whole row of plus redrawn at random, so
+    that many triples fail and the scan order decides which is named; the
+    involution permuted with the domain of + set to its involution
+    description, so that downward closure is what breaks; two values of k
+    redirected, m.k following; one value of m.k redirected; or one strict
+    comparison x < y dropped from the order, half the time with its mirror
+    i(y) < i(x), so that the involution may still reverse the order."""
     s = copy.copy(space)
     npts = len(space.member)
     plus = space.plus.copy()
-    if trial % 3 == 0:
+    if trial % 6 == 0:
         for _ in range(3):
             x, y = rng.integers(npts, size=2)
             plus[x, y] = -1 if rng.random() < 0.5 else rng.integers(npts)
-    elif trial % 3 == 1:
+    elif trial % 6 == 1:
         plus[rng.integers(npts)] = rng.integers(-1, npts, size=npts)
-    else:
+    elif trial % 6 == 2:
         s.involution = rng.permutation(npts)
         by_inv = space.order.leq[np.arange(npts)[None, :], s.involution[:, None]]
         plus = np.where(by_inv, np.maximum(plus, 0), -1)
+    elif trial % 6 == 3:
+        s.k = space.k.copy()
+        s.k[rng.integers(npts, size=2)] = rng.integers(npts, size=2)
+        s.mk = space.m[s.k]
+    elif trial % 6 == 4:
+        s.mk = space.mk.copy()
+        s.mk[rng.integers(npts)] = rng.integers(npts)
+    else:
+        leq = space.order.leq.copy()
+        xs, ys = np.nonzero(leq & ~np.eye(npts, dtype=bool))
+        i = rng.integers(len(xs))
+        leq[xs[i], ys[i]] = False
+        if rng.random() < 0.5:
+            leq[space.involution[ys[i]], space.involution[xs[i]]] = False
+        s.order = FinitePoset(leq, validate=False)
     s.plus = plus
     return s
 
 
+def _message_kind(message):
+    """A failure message without the points or elements it names."""
+    return " ".join(w for w in message.split() if not any(c.isdigit() for c in w))
+
+
 def test_plus_rows_name_the_reference_witness():
+    # the plus rows and every row rewritten from a scalar scan
     rows = [
         (verify._check_plus_associative,
          lambda s: plus_associative_reference(s.plus)),
@@ -286,6 +366,10 @@ def test_plus_rows_name_the_reference_witness():
          lambda s: plus_translation_reference(s.plus, s.order.leq)),
         (verify._check_plus_domain,
          lambda s: plus_domain_reference(s.plus, s.order.leq, s.involution)),
+        (verify._check_involution_laws, involution_laws_reference),
+        (verify._check_k_fibers, k_fibers_reference),
+        (verify._check_interpolation, interpolation_reference),
+        (verify._check_mk_on_comparables, mk_constant_reference),
     ]
     kinds = set()
     for alg in PARITY_ALGEBRAS:
@@ -293,19 +377,30 @@ def test_plus_rows_name_the_reference_witness():
         for check, reference in rows:
             assert _row_message(check, space) is None is reference(space)
         rng = np.random.default_rng(len(space.member))
-        for trial in range(90):
+        for trial in range(180):
             s = _mutated(space, rng, trial)
             for check, reference in rows:
                 got = _row_message(check, s)
                 assert got == reference(s)
                 if got is not None:
-                    kinds.add(got.split(" at (")[0].split(" under (")[0])
-    # every failure message of the three rows was exercised
+                    kinds.add(_message_kind(got))
+    # every failure message of the rows was exercised, but for "fibers of k
+    # miss a point": every point lies above an MV point, and no mutant here
+    # moves a value of k off the points above one
     assert kinds == {
-        "associativity domain gap",
-        "associativity fails",
-        "translation domain gap",
-        "translation monotonicity fails",
+        "associativity domain gap at",
+        "associativity fails at",
+        "translation domain gap at <=",
+        "translation monotonicity fails at",
         "domain of + differs from the involution description",
-        "domain of + is not downward closed",
+        "domain of + is not downward closed under",
+        "involution is not an involution",
+        "involution does not reverse the order",
+        "point incomparable with its involute",
+        "involute of is not the largest addable point",
+        "fiber over differs from its description by sums",
+        "fiber over is not a chain",
+        "interpolation witness sum is undefined",
+        "interpolation witness violates its bounds",
+        "m.k differs along <=",
     }
