@@ -31,7 +31,6 @@ _HOMES = {
         "MvAlgebra",
         "SUITE_NAMES",
         "algebra_from_json",
-        "algebra_to_json",
         "check_axioms",
         "enumerate_mv_ideals",
         "ideal_generated",
@@ -48,7 +47,6 @@ _HOMES = {
         "crt_solve",
         "crt_term",
         "decomposition_sheaf",
-        "difference_tower",
         "eta_check",
         "germinal_ideal",
         "global_sections",

@@ -130,9 +130,7 @@ class MvAlgebra:
     def _reduct(self):
         from .lattice import FiniteDistLattice
 
-        return FiniteDistLattice(
-            self.leq, self.join, self.meet, labels=self.labels, validate=False
-        )
+        return FiniteDistLattice(self.leq, self.join, self.meet, labels=self.labels)
 
     @cached_property
     def idempotents(self):
@@ -468,14 +466,3 @@ def algebra_from_json(data, validate=True):
 def _json_ints(values):
     # exact type: JSON true/false parse to bool, a subclass of int
     return isinstance(values, list) and set(map(type, values)) <= {int}
-
-
-def algebra_to_json(alg):
-    return {
-        "schema": SCHEMA,
-        "kind": "tables",
-        "zero": alg.zero,
-        "neg": [int(v) for v in alg.neg],
-        "oplus": [[int(v) for v in row] for row in alg.oplus],
-        "labels": list(alg.labels),
-    }

@@ -366,19 +366,6 @@ def crt_term(alg, units, targets, space=None):
         t += 1
 
 
-def difference_tower(alg, a, u):
-    """The chain a, a-u, a-2u, ... up to stabilization (at most |A| steps)."""
-    seq = [a]
-    for _ in range(alg.n):
-        nxt = int(alg.ominus[seq[-1], u])
-        if nxt == seq[-1]:
-            break
-        seq.append(nxt)
-    if int(alg.ominus[seq[-1], u]) != seq[-1]:
-        raise AlgebraError("difference tower failed to stabilize")
-    return seq
-
-
 def tower_sandwich(space, a, u):
     """Bounds for the stabilized tower intersections of the pairs (a, u).
 

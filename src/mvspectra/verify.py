@@ -334,8 +334,17 @@ def _check_root_system(ctx):
 # -- finite checks: the quotient theorem --------------------------------------
 
 
+def _require_mk_on_z(s):
+    """Fail at the first point whose m.k is not a Z point, before a row
+    reads the fibers of m.k (a negative index would wrap in in_z)."""
+    mk = s.mk
+    off = (mk < 0) | (mk >= len(s.in_z))
+    _fail_at("m.k({}) is not a maximal point", off | ~s.in_z[np.where(off, 0, mk)])
+
+
 def _check_w_lawful(ctx):
     s = ctx.space
+    _require_mk_on_z(s)
     w = w_relation(s)
     if not w.diagonal().all() or not (w == w.T).all():
         _fail("zig-zag relation is not reflexive-symmetric")
@@ -444,6 +453,7 @@ def _check_eta_maximal(ctx):
 
 def _check_maximal_fibers(ctx):
     s = ctx.space
+    _require_mk_on_z(s)
     fibers = _level_sets(s.mk)
     if not np.array_equal(fibers, s.order.order_components):
         _fail("m.k fibers differ from the order components")

@@ -1,5 +1,6 @@
-"""Shared test support: the finite algebra family, relabelling, and
-lattices built from order data."""
+"""Shared test support: the finite algebra family, relabelling, lattices
+built from order data, and the validators of orders and lattices that the
+package builds without checking."""
 
 from __future__ import annotations
 
@@ -9,19 +10,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mvspectra.errors import AlgebraError, CapExceeded
+from mvspectra.errors import AlgebraError, CapExceeded, LatticeError, PosetError
 from mvspectra.idealarith import ominus_bar, oplus_bar
 from mvspectra.lattice import (
     FiniteDistLattice,
     FinitePoset,
-    _canonical,
+    _bool_mm,
     _closure,
-    _glb,
-    _lub,
     is_lattice_ideal,
     transitive_closure,
 )
 from mvspectra.mv import (
+    SCHEMA,
     MvAlgebra,
     congruence_class,
     ideal_generated,
@@ -83,10 +83,88 @@ def poset_from_pairs(n, pairs):
     return FinitePoset(transitive_closure(rel))
 
 
-def lattice_from_leq(leq, validate=True):
-    """Lattice tables read off an order matrix; LatticeError if some lub or
-    glb is missing."""
+def algebra_to_json(alg):
+    """The explicit-tables JSON form of an algebra, as algebra_from_json reads it."""
+    return {
+        "schema": SCHEMA,
+        "kind": "tables",
+        "zero": alg.zero,
+        "neg": [int(v) for v in alg.neg],
+        "oplus": [[int(v) for v in row] for row in alg.oplus],
+        "labels": list(alg.labels),
+    }
+
+
+def difference_tower(alg, a, u):
+    """The chain a, a-u, a-2u, ... up to stabilization (at most |A| steps):
+    the scalar form of the towers sheaf.tower_sandwich advances together."""
+    seq = [a]
+    for _ in range(alg.n):
+        nxt = int(alg.ominus[seq[-1], u])
+        if nxt == seq[-1]:
+            break
+        seq.append(nxt)
+    if int(alg.ominus[seq[-1], u]) != seq[-1]:
+        raise AlgebraError("difference tower failed to stabilize")
+    return seq
+
+
+# -- validators of the orders and lattices the package builds unchecked ---------
+
+
+def validate_poset(poset):
+    """Raise PosetError unless poset.leq is reflexive, antisymmetric and
+    transitive, naming the first failure."""
+    leq, n = poset.leq, poset.n
+    if not leq.diagonal().all():
+        i = int(np.flatnonzero(~leq.diagonal())[0])
+        raise PosetError(f"not reflexive at element {i}")
+    bad = leq & leq.T & ~np.eye(n, dtype=bool)
+    if bad.any():
+        i, j = (int(v) for v in np.argwhere(bad)[0])
+        raise PosetError(f"not antisymmetric: {i} <= {j} and {j} <= {i}")
+    gap = _bool_mm(leq, leq) & ~leq
+    if gap.any():
+        i, j = (int(v) for v in np.argwhere(gap)[0])
+        raise PosetError(f"not transitive: {i} and {j}")
+
+
+def _lub(leq, a, b):
+    ub = np.flatnonzero(leq[a, :] & leq[b, :])
+    for u in ub:
+        if leq[u, ub].all():
+            return int(u)
+    raise LatticeError(f"elements {a} and {b} have no least upper bound")
+
+
+def _glb(leq, a, b):
+    lb = np.flatnonzero(leq[:, a] & leq[:, b])
+    for u in lb[::-1]:
+        if leq[lb, u].all():
+            return int(u)
+    raise LatticeError(f"elements {a} and {b} have no greatest lower bound")
+
+
+def validate_lattice(lat):
+    """Raise unless lat is a bounded distributive lattice: its order is a
+    poset, its join and meet tables hold the least upper and greatest lower
+    bounds read off the order one pair at a time, and it is distributive."""
+    validate_poset(FinitePoset(lat.leq))
+    for a in range(lat.n):
+        for b in range(lat.n):
+            if int(lat.join[a, b]) != _lub(lat.leq, a, b):
+                raise LatticeError(f"join table wrong at ({a}, {b})")
+            if int(lat.meet[a, b]) != _glb(lat.leq, a, b):
+                raise LatticeError(f"meet table wrong at ({a}, {b})")
+    lat.validate_distributive()
+
+
+def lattice_from_leq(leq):
+    """Lattice tables read off an order matrix; PosetError if leq is no
+    order, LatticeError if some lub or glb is missing, NotDistributiveError
+    if the lattice is not distributive."""
     poset = FinitePoset(leq)
+    validate_poset(poset)
     n = poset.n
     join = np.zeros((n, n), dtype=np.int64)
     meet = np.zeros((n, n), dtype=np.int64)
@@ -94,7 +172,24 @@ def lattice_from_leq(leq, validate=True):
         for b in range(a, n):
             join[a, b] = join[b, a] = _lub(poset.leq, a, b)
             meet[a, b] = meet[b, a] = _glb(poset.leq, a, b)
-    return FiniteDistLattice(poset.leq, join, meet, validate=validate)
+    lat = FiniteDistLattice(poset.leq, join, meet)
+    lat.validate_distributive()
+    return lat
+
+
+def chain_lattice(n):
+    """The n-element chain 0 < 1 < ... < n-1 as a lattice."""
+    idx = np.arange(n)
+    return FiniteDistLattice(
+        idx[:, None] <= idx[None, :], np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
+    )
+
+
+def canonical_reference(rows):
+    """The rows ascending by their member tuples, by a sort of Python
+    tuples: the reference for the byte-key sort of lattice._canonical."""
+    keys = [tuple(np.flatnonzero(row).tolist()) for row in rows]
+    return rows[sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 # -- int-bitmask references for the boolean-row order routines of lattice -------
@@ -160,7 +255,7 @@ def lattice_from_downsets_reference(poset):
             leq[i, j] = mi & ~mj == 0
             join[i, j] = index[mi | mj]
             meet[i, j] = index[mi & mj]
-    return FiniteDistLattice(leq, join, meet, labels=labels, validate=False)
+    return FiniteDistLattice(leq, join, meet, labels=labels)
 
 
 def posets_isomorphic_reference(p, q):
@@ -192,8 +287,8 @@ def is_prime_ideal(lat, row):
 
 def prime_ideals_bruteforce(lat, limit=2_000_000):
     """Oracle path: scan every downset of the carrier order."""
-    rows = FinitePoset(lat.leq, validate=False).downsets(limit=limit)
-    return _canonical(rows[[is_prime_ideal(lat, row) for row in rows]])
+    rows = FinitePoset(lat.leq).downsets(limit=limit)
+    return canonical_reference(rows[[is_prime_ideal(lat, row) for row in rows]])
 
 
 def is_maximal_mv_ideal(alg, row):

@@ -16,12 +16,11 @@ from mvspectra.mv import (
     SCHEMA,
     MvAlgebra,
     _first_violation,
-    algebra_to_json,
     lukasiewicz_chain,
     product,
 )
 
-from conftest import relabelled
+from conftest import algebra_to_json, relabelled
 
 L4 = '{"kind":"lukasiewicz","n":4}'
 PROD = '{"kind":"product","factors":[{"kind":"lukasiewicz","n":2},{"kind":"lukasiewicz","n":3}]}'

@@ -139,6 +139,19 @@ def test_table_layers_name_no_int64():
             assert "np.int64" not in fh.read(), name
 
 
+def test_lattices_are_built_unchecked_and_test_helpers_stay_out():
+    # posets and lattices are built, never validated as they are built (the
+    # validators are test code), and the test-only JSON writer and scalar
+    # difference tower are no public names
+    with open(os.path.join(SRC, "mvspectra", "lattice.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            assert "validate" not in {a.arg for a in params}, f"lattice.py line {node.lineno}"
+    assert not {"algebra_to_json", "difference_tower"} & set(mvspectra.__all__)
+
+
 def test_reading_an_algebra_loads_only_the_algebra_layer():
     body = (
         "from mvspectra import algebra_from_json\n"

@@ -20,6 +20,7 @@ from mvspectra.lattice import (
     FiniteDistLattice,
     FinitePoset,
     _bool_mm,
+    _canonical,
     chain_factors,
     congruence_of_subspace,
     dual_order,
@@ -31,8 +32,11 @@ from mvspectra.lattice import (
     transitive_closure,
 )
 from mvspectra.mv import lukasiewicz_chain, product
+from mvspectra.spectrum import build_dual_space
 
 from conftest import (
+    canonical_reference,
+    chain_lattice,
     downsets_reference,
     is_prime_ideal,
     lattice_from_downsets_reference,
@@ -44,6 +48,8 @@ from conftest import (
     prime_ideals_bruteforce,
     relabelled,
     subset,
+    validate_lattice,
+    validate_poset,
 )
 
 
@@ -77,7 +83,7 @@ def m3():
             [0, 1, 2, 3, 4],
         ]
     )
-    return FiniteDistLattice(leq, join, meet, validate=False)
+    return FiniteDistLattice(leq, join, meet)
 
 
 def random_poset(rng, n):
@@ -93,11 +99,17 @@ def random_poset(rng, n):
 
 
 def test_poset_rejects_non_orders():
-    with pytest.raises(PosetError):
-        FinitePoset(np.zeros((2, 2), dtype=bool))  # not reflexive
-    bad = np.ones((2, 2), dtype=bool)
-    with pytest.raises(PosetError):
-        FinitePoset(bad)  # antisymmetry fails
+    # the validator rejects each failed law; the constructor checks nothing
+    with pytest.raises(PosetError, match="not reflexive at element 0"):
+        validate_poset(FinitePoset(np.zeros((2, 2), dtype=bool)))
+    with pytest.raises(PosetError, match="not antisymmetric: 0 <= 1 and 1 <= 0"):
+        validate_poset(FinitePoset(np.ones((2, 2), dtype=bool)))
+    gap = np.eye(3, dtype=bool)
+    gap[0, 1] = gap[1, 2] = True  # 0 <= 1 <= 2 without 0 <= 2
+    with pytest.raises(PosetError, match="not transitive: 0 and 2"):
+        validate_poset(FinitePoset(gap))
+    with pytest.raises(PosetError, match="square"):
+        FinitePoset(np.ones((2, 3), dtype=bool))
 
 
 def test_downsets_of_chain_and_antichain():
@@ -151,7 +163,7 @@ def test_downsets_and_components_match_the_int_references(poset):
 
 
 def test_chain_tables():
-    c = FiniteDistLattice.chain(4)
+    c = chain_lattice(4)
     assert c.bot == 0 and c.top == 3
     assert c.join[1, 2] == 2 and c.meet[1, 2] == 1
     assert c.join_irreducibles == [1, 2, 3]
@@ -159,7 +171,7 @@ def test_chain_tables():
 
 def covers_join_irreducibles(lat):
     """Reference: the non-bottom elements with exactly one lower cover."""
-    counts = FinitePoset(lat.leq, validate=False).covers.sum(axis=0)
+    counts = FinitePoset(lat.leq).covers.sum(axis=0)
     return np.flatnonzero(counts == 1).tolist()
 
 
@@ -207,6 +219,24 @@ def test_from_leq_detects_missing_bounds():
     p = poset_from_pairs(3, [(0, 1), (0, 2)])
     with pytest.raises(LatticeError):
         lattice_from_leq(p.leq)
+    # a bowtie under a top: 1 and 2 have the two minimal upper bounds 3
+    # and 4, so a lattice built on it unchecked fails the validator
+    bowtie = poset_from_pairs(6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4),
+                                  (3, 5), (4, 5)])
+    idx = np.arange(6)
+    unchecked = FiniteDistLattice(
+        bowtie.leq, np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
+    )
+    with pytest.raises(LatticeError, match="1 and 2 have no least upper bound"):
+        validate_lattice(unchecked)
+    # a lawful chain with one wrong entry in its join table
+    chain = chain_lattice(3)
+    join = chain.join.copy()
+    join[0, 1] = 2
+    with pytest.raises(LatticeError, match=r"join table wrong at \(0, 1\)"):
+        validate_lattice(FiniteDistLattice(chain.leq, join, chain.meet))
+    with pytest.raises(NotDistributiveError):
+        validate_lattice(m3())
 
 
 def test_m3_not_distributive_with_witness():
@@ -227,6 +257,33 @@ def test_structural_distributivity_check_matches_scan():
         assert lat._distributivity_witness() is None
 
 
+def test_built_orders_and_lattices_pass_the_validators(family):
+    # the build checks no order and no lattice; these are the laws it relies on
+    for alg in family.values():
+        validate_lattice(alg.lattice_reduct())
+        validate_poset(build_dual_space(alg).order)
+    rng = random.Random(5)
+    for _ in range(20):
+        lat = lattice_from_downsets(random_poset(rng, rng.randint(1, 7)))
+        validate_lattice(lat)
+        validate_poset(dual_order(enumerate_prime_ideals(lat)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.integers(0, 2**32), st.integers(0, 12), st.integers(1, 40),
+       st.sampled_from([0, 250]))
+def test_canonical_order_matches_the_tuple_sort(seed, count, width, lead):
+    # random rows after lead empty columns (so that members cross 255, the
+    # byte boundary of the keys), a prefix of each (its first few members)
+    # and a copy of each, shuffled: prefixes sort first, equal rows together
+    rng = np.random.default_rng(seed)
+    rows = np.hstack([np.zeros((count, lead), dtype=bool), rng.random((count, width)) < 0.5])
+    cut = rng.integers(0, width + 1, size=(count, 1))
+    prefixes = rows & (np.cumsum(rows, axis=1) <= cut)
+    mixed = np.vstack([rows, prefixes, rows])[rng.permutation(3 * count)]
+    assert np.array_equal(_canonical(mixed), canonical_reference(mixed))
+
+
 def test_bool_mm_counts_past_the_byte_range():
     # 256 witnesses per entry: a uint8 product would wrap them to zero
     ones = np.ones((2, 256), dtype=bool)
@@ -237,13 +294,13 @@ def test_bool_mm_counts_past_the_byte_range():
 
 
 def test_two_element_lattice_single_point():
-    member = enumerate_prime_ideals(FiniteDistLattice.chain(2))
+    member = enumerate_prime_ideals(chain_lattice(2))
     assert len(member) == 1
     assert member.tolist() == [[True, False]]  # {0}; the filter ~member is {1}
 
 
 def test_three_chain_two_points():
-    member = enumerate_prime_ideals(FiniteDistLattice.chain(3))
+    member = enumerate_prime_ideals(chain_lattice(3))
     assert member.tolist() == [[True, False, False], [True, True, False]]
 
 
@@ -284,7 +341,7 @@ def test_stone_map_is_embedding():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
 def test_roundtrip_chains(n):
-    w = duality_roundtrip(FiniteDistLattice.chain(n))
+    w = duality_roundtrip(chain_lattice(n))
     assert len(w.points) == n - 1
     assert w.downset_lattice.n == n
 
@@ -393,7 +450,7 @@ def test_galois_connection_laws():
 
 
 def test_subspace_classes_are_numbered_by_first_occurrence():
-    lat = FiniteDistLattice.chain(4)
+    lat = chain_lattice(4)
     member = enumerate_prime_ideals(lat)  # ideals {0}, {0, 1}, {0, 1, 2}
     assert congruence_of_subspace(member[[1]]).tolist() == [0, 0, 1, 1]
     assert congruence_of_subspace(member).tolist() == [0, 1, 2, 3]
@@ -401,7 +458,7 @@ def test_subspace_classes_are_numbered_by_first_occurrence():
 
 
 def test_non_congruence_is_not_galois_closed():
-    lat = FiniteDistLattice.chain(4)
+    lat = chain_lattice(4)
     member = enumerate_prime_ideals(lat)
     # relating the ends of a chain without the middle is not a congruence
     theta = frozenset({(a, a) for a in range(4)} | {(0, 3), (3, 0)})

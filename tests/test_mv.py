@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 from mvspectra import mv
 from mvspectra.errors import AlgebraError, CapExceeded
-from mvspectra.lattice import FiniteDistLattice, lattice_from_downsets
+from mvspectra.lattice import lattice_from_downsets
 from mvspectra.mv import (
     MvAlgebra,
     _first_violation,
     algebra_from_json,
-    algebra_to_json,
     check_axioms,
     congruence_class,
     enumerate_mv_ideals,
@@ -36,12 +35,14 @@ from mvspectra.sheaf import crt_solve
 from mvspectra.spectrum import MvDualSpace
 
 from conftest import (
+    algebra_to_json,
     is_maximal_mv_ideal,
     is_prime_mv_ideal,
     odot,
     quotient,
     relabelled,
     subset,
+    validate_lattice,
 )
 
 
@@ -158,7 +159,8 @@ SIX_LAWS = {
 def assert_reduct_is_bounded_distributive(alg):
     """Chang's laws make join/meet a bounded distributive lattice (CDM ch. 1);
     check_axioms relies on it, the lattice validator confirms it."""
-    lat = FiniteDistLattice(alg.leq, alg.join, alg.meet, validate=True)
+    lat = alg.lattice_reduct()
+    validate_lattice(lat)
     assert (lat.bot, lat.top) == (alg.zero, alg.one)
 
 

@@ -22,7 +22,7 @@ from mvspectra.mv import (
 )
 from mvspectra.verify import run_suite
 
-from conftest import quotient, relabelled, subset
+from conftest import difference_tower, quotient, relabelled, subset
 
 
 @pytest.fixture(scope="module")
@@ -480,7 +480,7 @@ def test_difference_tower_shape(small_family):
     for label, alg in small_family.items():
         for a in range(alg.n):
             for u in range(alg.n):
-                seq = sh.difference_tower(alg, a, u)
+                seq = difference_tower(alg, a, u)
                 assert len(seq) <= alg.n
                 assert seq[0] == a
                 assert int(alg.ominus[seq[-1], u]) == seq[-1]
@@ -492,7 +492,7 @@ def _tower_sets_by_comprehension(space, a, u):
     """The three sandwich sets as boolean rows, one point at a time."""
     points = range(len(space.member))
     leq = space.order.leq
-    seq = sh.difference_tower(space.algebra, a, u)
+    seq = difference_tower(space.algebra, a, u)
     hat_a = space.hat(a)
     useen = [bool(space.member[space.k[x], u]) for x in points]
     lhs = [hat_a[x] and useen[x] for x in points]
@@ -525,7 +525,7 @@ def test_towers_that_cycle_are_refused():
         order=SimpleNamespace(leq=np.ones((1, 1), dtype=bool)),
     )
     with pytest.raises(Error, match="failed to stabilize"):
-        sh.difference_tower(alg, 0, 1)
+        difference_tower(alg, 0, 1)
     with pytest.raises(Error, match="failed to stabilize"):
         sh.tower_sandwich(space, [1, 0], [0, 1])
 

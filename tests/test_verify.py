@@ -202,6 +202,12 @@ def _branch_above_an_mv_point(s):
     s.y_points = (0, 1, 4)
 
 
+def _k_leaves_y(s):
+    # k(1) = 1 is no MV point, so m.k(1) is the -1 of m off Y
+    s.k[1] = 1
+    s.mk = s.m[s.k]
+
+
 CORRUPTIONS = [
     ("plus", "involution-laws", _swap_involution, "involution is not an involution"),
     ("plus", "plus-commutative", _drop_plus_entry, "+ not commutative at (0, 1)"),
@@ -226,6 +232,9 @@ CORRUPTIONS = [
     ("k", "k-fibers-cover-and-chain", _undefine_one_plus_zero,
      "fiber over 0 differs from its description by sums"),
     ("k", "root-system", _branch_above_an_mv_point, "MV points above 0 are not a chain"),
+    ("sheaf-maximal", "maximal-fibers-are-components", _k_leaves_y,
+     "m.k(1) is not a maximal point"),
+    ("kaplansky", "zigzag-quotient-lawful", _k_leaves_y, "m.k(1) is not a maximal point"),
 ]
 
 
@@ -347,7 +356,7 @@ def _mutated(space, rng, trial):
         leq[xs[i], ys[i]] = False
         if rng.random() < 0.5:
             leq[space.involution[ys[i]], space.involution[xs[i]]] = False
-        s.order = FinitePoset(leq, validate=False)
+        s.order = FinitePoset(leq)
     s.plus = plus
     return s
 
