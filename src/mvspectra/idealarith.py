@@ -10,8 +10,7 @@ throughout.
 
 sum_table tabulates the sums with one fixed ideal, so that the pairwise
 sums with any number of other ideals are one boolean matrix product; the
-oracle rows of verify read the ideal sums of the dual space's points and
-the k scan off it.
+ideal-sum row of verify reads the sums of the dual space's points off it.
 """
 
 from __future__ import annotations

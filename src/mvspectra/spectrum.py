@@ -17,7 +17,7 @@ build is table arithmetic on the generators: + and the involution are
 lookups, Y is the diagonal of + (g_x idempotent), k(x) is the point of the
 largest idempotent e with g_x + e = g_x, m is a slice of the order, and Z
 comes from the maximal idempotents below one.  The MV-ideal test of mv,
-mv.ideal_generated and the k_via_* routes are oracles for verify.
+mv.ideal_generated and k_via_ideal_scan are oracles for verify.
 
 Construction computes and does not check: MvDualSpace raises AlgebraError
 only where a table entry cannot be produced at all.  verify owns the laws,
@@ -36,7 +36,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlgebraError
-from .idealarith import ominus_bar, sum_table
 from .lattice import (
     _bool_mm,
     _level_sets,
@@ -229,31 +228,32 @@ def interpolate(space, x, xp):
     return int(w) if np.ndim(w) == 0 else w
 
 
-# -- k cross-check routes ---------------------------------------------------
-
-
-def k_via_ideal_scan(space, x):
-    """Oracle route: the largest MV-ideal J with I_x +bar J inside I_x."""
-    alg = space.algebra
-    row = space.member[x]
+def k_via_ideal_scan(space):
+    """Oracle route: k of every point, the largest MV-ideal J with I_x +bar J
+    inside I_x, computed from oplus, the order and the MV-ideals alone; Y is
+    read only to check that each result is an MV point."""
+    alg, member = space.algebra, space.member
+    # J = down e for an idempotent e, J's member with the most elements below
+    # it.  I_x +bar J lies in the lattice ideal I_x when each a oplus b does
+    # (a in I_x, b in J); as oplus is monotone and I_x a downset, J is
+    # addable exactly when a oplus e lies in I_x for every a in I_x.  One
+    # ideal at a time, so that each gather is the size of member.
     ideals = enumerate_mv_ideals(alg)
-    # I_x is a lattice ideal, so I_x +bar J lies inside it exactly when the
-    # hit row of I_x + J does
-    good = ideals[~(_bool_mm(ideals, sum_table(alg, row)) & ~row).any(axis=1)]
-    best = good[good.sum(axis=1).argmax()]
-    if (good & ~best).any():
-        raise AlgebraError("addable ideals have no largest member")
-    out = int(space._points_of(best, "largest addable ideal"))
-    if not space.in_y[out]:
-        raise AlgebraError("largest addable ideal is not an MV point")
+    tops = np.where(ideals, alg.leq.sum(axis=0, dtype=TABLE_DTYPE), -1).argmax(axis=1)
+    addable = np.stack([~(member & ~member[:, sums]).any(axis=1)
+                        for sums in alg.oplus[:, tops].T], axis=1)
+    # the largest is addable and lies above every addable e_j
+    best = np.where(addable, ideals.sum(axis=1), -1).argmax(axis=1)
+    largest = addable[np.arange(len(best)), best] & (
+        ~addable | alg.leq[tops[None, :], tops[best, None]]).all(axis=1)
+    out = np.empty(len(member), dtype=TABLE_DTYPE)
+    for x, j in enumerate(best):
+        if not largest[x]:
+            raise AlgebraError("addable ideals have no largest member")
+        out[x] = space._points_of(ideals[j], "largest addable ideal")
+        if not space.in_y[out[x]]:
+            raise AlgebraError("largest addable ideal is not an MV point")
     return out
-
-
-def k_via_filter_difference(space, x):
-    """Second route: the complement of F_x -bar I_x is the same point."""
-    row = space.member[x]
-    outside = ~ominus_bar(space.algebra, ~row, row)
-    return int(space._points_of(outside, "filter-difference complement"))
 
 
 # -- the zig-zag quotient ----------------------------------------------------

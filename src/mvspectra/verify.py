@@ -13,24 +13,28 @@ which need a finite carrier.
 
 Routes of a finite space: quantity | build route | oracle rows,
 which recompute it | rows of the paper's laws that also constrain it.
-k has three routes, its build and two oracles: one more than the one
-fast route and one oracle that each quantity should have.
   involution | negated complement filters | involution-laws | plus-domain-description
   + | g_x oplus g_y, undefined at one | plus-matches-ideal-sums | the other plus-* rows
   Y | idempotent generators | plus-idempotents-are-mv-points | k-fixes-*, root-system
   Z | mv.maximal_mv_ideals | lattice-only-reconstruction (its size) | zigzag-quotient-lawful
-  k | largest idempotent g_x absorbs | k-three-routes-agree | other k-* rows, interpolation-witness
+  k | largest idempotent g_x absorbs | k-matches-ideal-scan | other k-* rows, interpolation-witness
   m | the Z point above each Y point | germinal-ideals-carve-fibers (m.k) | mk-*, maximal-fibers-*
   W | w_relation; classes as m.k fibers | zigzag-classes-* | zigzag-quotient-lawful
   stalks | sheaf.build_etale | none here; the tests' quotients | prime-stalks-*, eta-*
   sections | sheaf.global_sections | patch-roundtrip | eta-*, patch-rejects-incompatible
   CRT solutions | sheaf.crt_solve | crt-random-*, crt-term-* | crt-rejects-*, tower-sandwich
+k has no second oracle in the complement of F_x ominus_bar I_x, F_x the
+complement of I_x: it is the right side of k-continuity-identity.  If c
+is not in I_x but c ominus a is, f = c and i = c ominus a give
+f ominus i = c ^ a <= a.  Conversely a >= f ominus i (a meet of such
+differences lies above one) puts f ominus a <= f ^ i in I_x, f outside.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +71,6 @@ from .spectrum import (
     VERDICT_HOMEOMORPHIC,
     build_dual_space,
     interpolate,
-    k_via_filter_difference,
     k_via_ideal_scan,
     kaplansky_check,
     lattice_only_component_count,
@@ -87,22 +90,20 @@ class CheckResult:
         return f"[{self.status.upper():4}] {self.name}{tail}"
 
 
+@dataclass
 class _Ctx:
-    """Lazy per-run cache so suites share one dual space build."""
+    """One run's settings, with the dual space that its rows share, built
+    on first use."""
 
-    def __init__(self, alg, chang_bound, section_cap, seed, crt_count):
-        self.alg = alg
-        self.chang_bound = chang_bound
-        self.section_cap = section_cap
-        self.seed = seed
-        self.crt_count = crt_count
-        self._space = None
+    alg: object
+    chang_bound: int
+    section_cap: int
+    seed: int
+    crt_count: int
 
-    @property
+    @cached_property
     def space(self):
-        if self._space is None:
-            self._space = build_dual_space(self.alg)
-        return self._space
+        return build_dual_space(self.alg)
 
 
 def _fail(message):
@@ -269,14 +270,11 @@ def _check_plus_matches_ideal_sums(ctx):
 # -- finite checks: k, fibers, interpolation ----------------------------------
 
 
-def _check_k_routes(ctx):
+def _check_k_matches_ideal_scan(ctx):
     s = ctx.space
-    for x in range(len(s.member)):
-        a = int(s.k[x])
-        b = k_via_ideal_scan(s, x)
-        c = k_via_filter_difference(s, x)
-        if not a == b == c:
-            _fail(f"k routes disagree at point {x}: {a}, {b}, {c}")
+    scanned = k_via_ideal_scan(s)
+    _fail_at("k({0[0]}) is {0[1]} but the ideal scan gives {0[2]}", s.k != scanned,
+             np.stack([np.arange(len(s.k)), s.k, scanned], axis=1))
 
 
 def _check_k_fixes_y(ctx):
@@ -304,13 +302,17 @@ def _check_k_fibers(ctx):
 
 def _check_k_continuity(ctx):
     s = ctx.space
-    alg = s.algebra
-    member = s.member
-    for a in range(alg.n):
-        lhs = member[s.k, a]
-        bad = member[:, alg.ominus[:, a]] & ~member
-        rhs = ~bad.any(axis=1)
-        _fail_at(f"k continuity identity fails for element {a} at point {{}}", lhs != rhs)
+    alg, member = s.algebra, s.member
+    # Both sides are lattice ideals in a: the left is I_k(x), and the right,
+    # the a with c ominus a in I_x forcing c in I_x, is a downset as ominus is
+    # antitone in a, and closed under joins as c ominus (a v b) is
+    # (c ominus a) ^ (c ominus b) and I_x is prime.  Every a is the join of
+    # the join-irreducibles below it, so the identity at zero and at the
+    # join-irreducibles of the reduct gives it for all a.
+    for a in sorted({alg.zero, *s.lattice.join_irreducibles}):
+        rhs = ~(member[:, alg.ominus[:, a]] & ~member).any(axis=1)
+        _fail_at(f"k continuity identity fails for element {a} at point {{}}",
+                 member[s.k, a] != rhs)
 
 
 def _check_interpolation(ctx):
@@ -428,7 +430,6 @@ def _check_patch_negative(ctx):
     )
     if res.ok or res.violation is None:
         _fail("incompatible patches were accepted")
-    return None
 
 
 def _check_germinal(ctx):
@@ -522,7 +523,6 @@ def _check_crt_term(ctx):
             folded = int(alg.join[folded, v])
         if folded != b:
             _fail(f"trial {trial}: returned join does not match its formula")
-    return None
 
 
 def _check_tower_sandwich(ctx):
@@ -641,7 +641,7 @@ SUITES = {
             ("plus-matches-ideal-sums", _check_plus_matches_ideal_sums),
         ],
         "k": [
-            ("k-three-routes-agree", _check_k_routes),
+            ("k-matches-ideal-scan", _check_k_matches_ideal_scan),
             ("k-fixes-exactly-mv-points", _check_k_fixes_y),
             ("k-fibers-cover-and-chain", _check_k_fibers),
             ("k-continuity-identity", _check_k_continuity),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mvspectra.errors import AlgebraError, CapExceeded, LatticeError, PosetError
-from mvspectra.idealarith import ominus_bar, oplus_bar
+from mvspectra.idealarith import ominus_bar, oplus_bar, sum_table
 from mvspectra.lattice import (
     FiniteDistLattice,
     FinitePoset,
@@ -24,6 +24,7 @@ from mvspectra.mv import (
     SCHEMA,
     MvAlgebra,
     congruence_class,
+    enumerate_mv_ideals,
     ideal_generated,
     is_mv_ideal,
     lukasiewicz_chain,
@@ -363,6 +364,22 @@ def is_prime_mv_ideal(alg, row):
     return bool((row[alg.ominus] | row[alg.ominus.T]).all())
 
 
+def k_ideal_scan_reference(space):
+    """k point by point: the largest MV-ideal J with I_x oplus_bar J inside
+    I_x, read off the hit rows of I_x oplus J for every J through the sum
+    table of I_x, as a list of points."""
+    alg = space.algebra
+    ideals = enumerate_mv_ideals(alg)
+    out = []
+    for row in space.member:
+        good = ideals[~(_bool_mm(ideals, sum_table(alg, row)) & ~row).any(axis=1)]
+        best = good[good.sum(axis=1).argmax()]
+        assert not (good & ~best).any(), "addable ideals have no largest member"
+        (point,) = np.flatnonzero((space.member == best).all(axis=1))
+        out.append(int(point))
+    return out
+
+
 # -- scalar references for the vectorised rows of verify -----------------------
 # Each returns the row's failure message, or None, by scanning the points one
 # at a time in the order the row reports its first failure.
@@ -462,4 +479,16 @@ def mk_constant_reference(space):
     for x, xp in np.argwhere(space.order.leq).tolist():
         if space.mk[x] != space.mk[xp]:
             return f"m.k differs along {x} <= {xp}"
+    return None
+
+
+def k_continuity_reference(space):
+    """The continuity identity of k over every element: a lies in I_k(x)
+    exactly when no c outside I_x has c ominus a in I_x."""
+    alg, member = space.algebra, space.member
+    for a in range(alg.n):
+        for x in range(len(member)):
+            rhs = not (member[x, alg.ominus[:, a]] & ~member[x]).any()
+            if member[space.k[x], a] != rhs:
+                return f"k continuity identity fails for element {a} at point {x}"
     return None

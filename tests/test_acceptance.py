@@ -87,7 +87,7 @@ def test_criterion_4_k_map_equivalence(family):
         family,
         "k",
         (
-            "k-three-routes-agree",
+            "k-matches-ideal-scan",
             "k-fixes-exactly-mv-points",
             "k-fibers-cover-and-chain",
             "k-continuity-identity",

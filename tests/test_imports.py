@@ -23,7 +23,7 @@ PROD = '{"kind":"product","factors":[{"kind":"lukasiewicz","n":2},{"kind":"lukas
 BROKEN = '{"kind":"tables","neg":[2,2,0],"oplus":[[0,1,2],[1,2,2],[2,2,2]]}'
 
 CHECK = {"mvspectra", "mvspectra.cli", "mvspectra.errors", "mvspectra.mv"}
-SPECTRUM = CHECK | {"mvspectra.lattice", "mvspectra.idealarith", "mvspectra.spectrum"}
+SPECTRUM = CHECK | {"mvspectra.lattice", "mvspectra.spectrum"}
 EVERY = {"mvspectra"} | {
     f"mvspectra.{name}"
     for name in ("chang", "cli", "errors", "idealarith", "lattice", "mv", "sheaf",

@@ -6,6 +6,7 @@ the shared family through the named check suites; the comparison verdicts
 and error paths are exercised directly.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -16,10 +17,17 @@ from hypothesis import strategies as st
 from mvspectra import spectrum as sp
 from mvspectra.chang import COFINITE, RADICAL, TRUNC, ChangAlgebra, ChangIdeal, ChangSpace
 from mvspectra.errors import Error
+from mvspectra.idealarith import ominus_bar
 from mvspectra.mv import MvAlgebra, check_axioms, lukasiewicz_chain, product
 from mvspectra.verify import run_suite
 
-from conftest import is_maximal_mv_ideal, oplus_bar_oracle, relabelled, subset
+from conftest import (
+    is_maximal_mv_ideal,
+    k_ideal_scan_reference,
+    oplus_bar_oracle,
+    relabelled,
+    subset,
+)
 
 
 def point_of(space, *members):
@@ -148,13 +156,43 @@ def test_plus_table_matches_fixpoint_sums(small_family):
 
 
 def test_k_routes_and_fixed_points(small_family):
-    for label, alg in small_family.items():
+    # the product chains L1^m have 2^m idempotents, the chain many points
+    shapes = {f"L1^{m}": functools.reduce(product, [lukasiewicz_chain(1)] * m)
+              for m in range(1, 7)}
+    for label, alg in {**small_family, **shapes, "L40": lukasiewicz_chain(40)}.items():
         space = sp.build_dual_space(alg)
-        for x in range(len(space.member)):
-            kx = space.k_map(x)
-            assert kx == sp.k_via_ideal_scan(space, x)
-            assert kx == sp.k_via_filter_difference(space, x)
-            assert (kx == x) == space.in_y[x]
+        reference = k_ideal_scan_reference(space)
+        assert space.k.tolist() == reference, label
+        assert sp.k_via_ideal_scan(space).tolist() == reference, label
+        for x, row in enumerate(space.member):
+            # the complement of the filter difference F_x ominus_bar I_x is
+            # the ideal of k(x)
+            assert (~ominus_bar(alg, ~row, row) == space.member[reference[x]]).all(), label
+            assert (reference[x] == x) == space.in_y[x], label
+
+
+@pytest.mark.parametrize(
+    "shape, edit, message",
+    [
+        # without the point ideals, L1^3's point down (1,1,0) can add the
+        # incomparable down (1,0,0) and down (0,1,0), and nothing above both
+        (3, "drop point ideals", "addable ideals have no largest member"),
+        # without them, L1^2's points can only add the ideal {0}
+        (2, "drop point ideals", "largest addable ideal is not a point"),
+        (2, "drop Y", "largest addable ideal is not an MV point"),
+    ],
+)
+def test_k_oracle_names_its_failures(monkeypatch, shape, edit, message):
+    alg = functools.reduce(product, [lukasiewicz_chain(1)] * shape)
+    space = sp.build_dual_space(alg)
+    ideals = sp.enumerate_mv_ideals(alg)
+    if edit == "drop point ideals":
+        kept = ~(ideals[:, None, :] == space.member[None, :, :]).all(axis=2).any(axis=1)
+        monkeypatch.setattr(sp, "enumerate_mv_ideals", lambda _: ideals[kept])
+    else:
+        space.in_y = np.zeros_like(space.in_y)
+    with pytest.raises(Error, match=f"^{message}$"):
+        sp.k_via_ideal_scan(space)
 
 
 def test_interpolation_bounds(small_family):

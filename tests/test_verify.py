@@ -17,6 +17,7 @@ from mvspectra.verify import SUITE_NAMES, run_suite
 from conftest import (
     interpolation_reference,
     involution_laws_reference,
+    k_continuity_reference,
     k_fibers_reference,
     mk_constant_reference,
     plus_associative_reference,
@@ -202,6 +203,11 @@ def _branch_above_an_mv_point(s):
     s.y_points = (0, 1, 4)
 
 
+def _k_crosses_components(s):
+    # k(1) = 0 becomes the MV point 4 of the other component
+    s.k[1] = 4
+
+
 def _k_leaves_y(s):
     # k(1) = 1 is no MV point, so m.k(1) is the -1 of m off Y
     s.k[1] = 1
@@ -235,6 +241,10 @@ CORRUPTIONS = [
     ("sheaf-maximal", "maximal-fibers-are-components", _k_leaves_y,
      "m.k(1) is not a maximal point"),
     ("kaplansky", "zigzag-quotient-lawful", _k_leaves_y, "m.k(1) is not a maximal point"),
+    ("k", "k-matches-ideal-scan", _k_crosses_components,
+     "k(1) is 4 but the ideal scan gives 0"),
+    ("k", "k-continuity-identity", _k_crosses_components,
+     "k continuity identity fails for element 1 at point 1"),
 ]
 
 
@@ -413,3 +423,26 @@ def test_plus_rows_name_the_reference_witness():
         "interpolation witness violates its bounds",
         "m.k differs along <=",
     }
+
+
+def test_k_continuity_row_agrees_with_the_full_scan():
+    # the row scans zero and the join-irreducibles only; on random values
+    # of k it passes exactly when the scan over every element does
+    rng = np.random.default_rng(3)
+    for alg in PARITY_ALGEBRAS:
+        space = REAL_SPACE(alg)
+        npts = len(space.member)
+        outcomes = set()
+        for trial in range(60):
+            s = copy.copy(space)
+            s.k = space.k.copy()
+            if trial % 3 == 0:  # one value anywhere
+                s.k[rng.integers(npts)] = rng.integers(npts)
+            elif trial % 3 == 1:  # every value onto some MV point
+                s.k = rng.choice(space.y_points, size=npts)
+            else:  # every value anywhere
+                s.k = rng.integers(npts, size=npts)
+            passed = _row_message(verify._check_k_continuity, s) is None
+            assert passed == (k_continuity_reference(s) is None)
+            outcomes.add(passed)
+        assert outcomes == {True, False}
