@@ -7,10 +7,6 @@ adjoint to each other.  The comprehension route here is cross-checked in
 the tests against closure-fixpoint oracles that iterate on boolean
 membership rows; ideals and filters are boolean rows over the carrier
 throughout.
-
-sum_table tabulates the sums with one fixed ideal, so that the pairwise
-sums with any number of other ideals are one boolean matrix product; the
-ideal-sum row of verify reads the sums of the dual space's points off it.
 """
 
 from __future__ import annotations
@@ -52,15 +48,3 @@ def ominus_bar(alg, f, i):
     diffs[alg.ominus[np.ix_(f, i)]] = True
     return alg.leq[diffs, :].any(axis=0)
 
-
-def sum_table(alg, row):
-    """R[b, c]: c = a oplus b for some member a of the boolean membership
-    row.  The sums of the row's members with those of any set J, the hit
-    row of their ideal sum, are then J's membership row times R (one
-    lattice._bool_mm for many sets at once)."""
-    sums = alg.oplus[row]  # one row of sums per member, indexed by b
-    table = np.zeros((alg.n, alg.n), dtype=bool)
-    # flat [b, sum] keys reach n * n, past TABLE_DTYPE: np.intp offsets
-    # make the whole key np.intp
-    table.reshape(-1)[sums + alg.n * np.arange(alg.n, dtype=np.intp)] = True
-    return table

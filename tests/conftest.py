@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mvspectra.errors import AlgebraError, CapExceeded, LatticeError, PosetError
-from mvspectra.idealarith import ominus_bar, oplus_bar, sum_table
+from mvspectra.idealarith import ominus_bar, oplus_bar
 from mvspectra.lattice import (
     FiniteDistLattice,
     FinitePoset,
@@ -364,6 +364,32 @@ def is_prime_mv_ideal(alg, row):
     return bool((row[alg.ominus] | row[alg.ominus.T]).all())
 
 
+def sum_table(alg, row):
+    """R[b, c]: c = a oplus b for some member a of the boolean membership
+    row.  The sums of the row's members with those of any set J, the hit
+    row of their ideal sum, are then J's membership row times R (one
+    lattice._bool_mm for many sets at once)."""
+    sums = alg.oplus[row]  # one row of sums per member, indexed by b
+    table = np.zeros((alg.n, alg.n), dtype=bool)
+    # flat [b, sum] keys reach n * n, past TABLE_DTYPE: np.intp offsets
+    # make the whole key np.intp
+    table.reshape(-1)[sums + alg.n * np.arange(alg.n, dtype=np.intp)] = True
+    return table
+
+
+def generated_ideals(alg, hits):
+    """The lattice ideal each boolean row generates, as a membership row:
+    the downset of the join of the row's members.  The join is a fold of
+    the join table over the columns, halving them at each step, across all
+    rows at once (zero stands in for a non-member)."""
+    top = np.where(hits, np.arange(alg.n), alg.zero)
+    while top.shape[1] > 1:
+        if top.shape[1] % 2:
+            top = np.column_stack([top, np.full(len(top), alg.zero)])
+        top = alg.join[top[:, 0::2], top[:, 1::2]]
+    return alg.leq[:, top[:, 0]].T
+
+
 def k_ideal_scan_reference(space):
     """k point by point: the largest MV-ideal J with I_x oplus_bar J inside
     I_x, read off the hit rows of I_x oplus J for every J through the sum
@@ -491,4 +517,42 @@ def k_continuity_reference(space):
             rhs = not (member[x, alg.ominus[:, a]] & ~member[x]).any()
             if member[space.k[x], a] != rhs:
                 return f"k continuity identity fails for element {a} at point {x}"
+    return None
+
+
+# -- the ideal-sum law of + read two ways, as two rows of verify once checked it:
+# at each basic set a-hat, and as the ideal that the sums generate
+
+
+def plus_continuity_reference(space):
+    """The continuity identity of + over every element: on each defined
+    pair (x, y), a lies in I_{x+y} exactly when a <= b oplus c for some b in
+    I_x and c in I_y."""
+    alg, member = space.algebra, space.member
+    dom = space.plus >= 0
+    safe = np.where(dom, space.plus, 0)
+    oplus = alg.oplus.astype(np.intp)
+    for a in range(alg.n):
+        lhs = dom & member[safe, a]
+        rhs = dom & _bool_mm(member, _bool_mm(alg.leq[a][oplus], member.T))
+        if (lhs != rhs).any():
+            x, y = np.argwhere(lhs != rhs)[0].tolist()
+            return f"+ continuity identity fails for element {a} at ({x}, {y})"
+    return None
+
+
+def plus_ideal_sums_reference(space):
+    """x + y against the ideal that the sums b oplus c of members b of I_x
+    and c of I_y generate, read off the sum table of I_x: improper where
+    x + y is undefined, and I_{x+y} where it is defined.  The pairs are
+    scanned as (x, y) for each y >= x, each followed by (y, x)."""
+    alg, member, plus = space.algebra, space.member, space.plus
+    for x in range(len(member)):
+        direct = generated_ideals(alg, _bool_mm(member[x:], sum_table(alg, member[x])))
+        for y in range(x, len(member)):
+            for p, q in ((x, y), (y, x)):
+                if plus[p, q] < 0 and not direct[y - x, alg.one]:
+                    return f"({p}, {q}) undefined but the ideal sum is proper"
+                if plus[p, q] >= 0 and (member[plus[p, q]] != direct[y - x]).any():
+                    return f"table sum at ({p}, {q}) differs from the ideal sum"
     return None

@@ -21,7 +21,9 @@ from conftest import (
     k_fibers_reference,
     mk_constant_reference,
     plus_associative_reference,
+    plus_continuity_reference,
     plus_domain_reference,
+    plus_ideal_sums_reference,
     plus_translation_reference,
 )
 
@@ -264,18 +266,23 @@ def test_corrupted_space_fails_the_owning_row(monkeypatch, suite, row, edit, det
 
 
 def test_continuity_row_names_a_join_irreducible(monkeypatch):
-    # the row scans zero and the join-irreducibles of the reduct only;
-    # element 2 of L2xL3 is (0,2), one of them
+    # the continuity identity of + is plus-matches-ideal-sums read at each
+    # basic set, and the row reads zero and the join-irreducibles only: 3 + 4
+    # redirected to 2 moves I_{3+4} at element 2 of L2xL3, (0,2), and at no
+    # other join-irreducible.  The row never reads the generators
     def corrupted(alg):
         space = REAL_SPACE(alg)
         _redirect_a_sum(space)
+        space.generators = None
         return space
 
-    assert 2 in L2xL3.lattice_reduct().join_irreducibles
+    member = REAL_SPACE(L2xL3).member
+    j0 = [L2xL3.zero, *L2xL3.lattice_reduct().join_irreducibles]
+    assert [a for a in j0 if member[2, a] != member[3, a]] == [2]
     monkeypatch.setattr(verify, "build_dual_space", corrupted)
     rows = {r.name: r for r in run_suite(L2xL3, "plus")}
-    assert rows["plus-continuity-identity"].detail == (
-        "+ continuity identity fails for element 2 at (3, 4)"
+    assert rows["plus-matches-ideal-sums"].detail == (
+        "table sum at (3, 4) differs from the ideal sum"
     )
 
 
@@ -446,3 +453,47 @@ def test_k_continuity_row_agrees_with_the_full_scan():
             assert passed == (k_continuity_reference(s) is None)
             outcomes.add(passed)
         assert outcomes == {True, False}
+
+
+def test_ideal_sum_row_agrees_with_both_old_rows():
+    # plus-matches-ideal-sums replaced plus-continuity-identity; on random
+    # mutants of + it fails exactly when either old row fails, and names the
+    # witness the old ideal-sum row named
+    rng = np.random.default_rng(5)
+    outcomes, kinds = set(), set()
+    for alg in PARITY_ALGEBRAS:
+        space = REAL_SPACE(alg)
+        npts = len(space.member)
+        for trial in range(40):
+            s = copy.copy(space)
+            s.plus = space.plus.copy()
+            if trial % 2:  # the whole table redrawn
+                s.plus = rng.integers(-1, npts, size=(npts, npts))
+            else:  # one entry knocked out or redirected
+                x, y = rng.integers(npts, size=2)
+                s.plus[x, y] = -1 if rng.random() < 0.5 else rng.integers(npts)
+            got = _row_message(verify._check_plus_matches_ideal_sums, s)
+            old = plus_ideal_sums_reference(s)
+            assert got == old
+            assert (got is None) == (old is None and plus_continuity_reference(s) is None)
+            outcomes.add(got is None)
+            if got is not None:
+                kinds.add(_message_kind(got))
+    assert outcomes == {True, False}
+    assert kinds == {
+        "undefined but the ideal sum is proper",
+        "table sum at differs from the ideal sum",
+    }
+
+
+def test_idempotent_closure_reads_the_diagonal(small_family):
+    # each point's ideal is a lattice ideal and a oplus b <= (a v b) oplus
+    # (a v b), so closure under a oplus a is closure under every a oplus b
+    verdicts = set()
+    for alg in small_family.values():
+        member = REAL_SPACE(alg).member
+        diagonal = ~(member & ~member[:, alg.oplus.diagonal()]).any(axis=1)
+        gathered = [row[alg.oplus[np.ix_(row, row)]].all() for row in member]
+        assert diagonal.tolist() == gathered
+        verdicts.update(gathered)
+    assert verdicts == {True, False}
